@@ -1,6 +1,8 @@
 /**
  * @file
- * Ablations of the design choices DESIGN.md calls out:
+ * Ablations of design choices from the Mithril paper (Kim et al.,
+ * HPCA 2022; section numbers below refer to it) and of this
+ * simulator's memory controller:
  *
  *  1. Wrapping counters vs periodic table reset (Section IV-E): the
  *     reset halves the usable threshold (safe FlipTH doubles for the
@@ -9,7 +11,8 @@
  *     (Section III): measured worst-case disturbance of each policy
  *     under the concentration attack at identical table sizes.
  *  3. BLISS vs plain FR-FCFS under a hammering attacker: scheduling
- *     fairness interacts with protection overheads.
+ *     fairness interacts with protection overheads (the controller's
+ *     BLISS blacklisting, see src/mc/controller.hh).
  */
 
 #include <cstdio>

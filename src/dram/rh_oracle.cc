@@ -8,41 +8,123 @@
 namespace mithril::dram
 {
 
+namespace
+{
+
+/** Initial table size: small enough that an idle oracle (a System
+ *  lane or engine shard no ACT reaches) costs half a kilobyte. */
+constexpr std::uint32_t kMinCapacity = 64;
+
+} // namespace
+
 RhOracle::RhOracle(std::uint32_t banks, std::uint32_t rows_per_bank,
                    std::uint32_t flip_th, std::uint32_t blast_radius)
     : banks_(banks), rowsPerBank_(rows_per_bank), flipTh_(flip_th),
-      blastRadius_(blast_radius), refreshPtr_(banks, 0)
+      blastRadius_(blast_radius), thresholdQ_(std::uint64_t{flip_th} * 4),
+      refreshPtr_(banks, 0)
 {
     MITHRIL_ASSERT(banks_ > 0);
     MITHRIL_ASSERT(rowsPerBank_ > 0);
     MITHRIL_ASSERT(flipTh_ > 0);
     MITHRIL_ASSERT(blast_radius >= 1 && blast_radius <= 3);
+    // Flat row keys must stay below the empty-slot sentinel.
+    MITHRIL_ASSERT_MSG(static_cast<std::uint64_t>(banks_) * rowsPerBank_ <=
+                           kEmptyKey,
+                       "%u banks x %u rows exceed 32-bit row keys", banks_,
+                       rowsPerBank_);
+    rehash(kMinCapacity);
+}
+
+std::uint32_t
+RhOracle::probe(std::uint32_t key) const
+{
+    std::uint32_t i = home(key);
+    while (slots_[i].key != key && slots_[i].key != kEmptyKey)
+        i = (i + 1) & mask_;
+    return i;
+}
+
+RhOracle::Slot &
+RhOracle::findOrInsert(std::uint32_t key)
+{
+    std::uint32_t i = probe(key);
+    if (slots_[i].key == kEmptyKey) {
+        if (resident_ == growAt_) {
+            rehash(static_cast<std::uint32_t>(2 * slots_.size()));
+            i = probe(key);
+        }
+        ++resident_;
+        slots_[i] = Slot{key, 0};
+    }
+    return slots_[i];
+}
+
+void
+RhOracle::refresh(std::uint32_t key)
+{
+    std::uint32_t i = probe(key);
+    if (slots_[i].key == kEmptyKey)
+        return;
+    if (slots_[i].count & kFlippedBit) {
+        slots_[i].count = kFlippedBit;
+        return;
+    }
+    // Backward-shift erase: pull each later row of the probe chain
+    // into the hole unless that would move it before its home slot.
+    for (std::uint32_t j = (i + 1) & mask_; slots_[j].key != kEmptyKey;
+         j = (j + 1) & mask_) {
+        if (((j - home(slots_[j].key)) & mask_) >= ((j - i) & mask_)) {
+            slots_[i] = slots_[j];
+            i = j;
+        }
+    }
+    slots_[i].key = kEmptyKey;
+    --resident_;
+}
+
+void
+RhOracle::rehash(std::uint32_t capacity)
+{
+    std::vector<Slot> old(capacity, Slot{kEmptyKey, 0});
+    old.swap(slots_);
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<std::uint32_t>(__builtin_ctz(capacity));
+    growAt_ = capacity / 4 * 3;
+    for (const Slot &s : old) {
+        if (s.key != kEmptyKey)
+            slots_[probe(s.key)] = s;
+    }
 }
 
 void
 RhOracle::disturb(BankId bank, RowId row, std::uint32_t weight_q)
 {
-    auto &count = counts_[RowKey{bank, row}];
-    const std::uint64_t threshold_q = static_cast<std::uint64_t>(flipTh_) * 4;
-    const bool was_below = count < threshold_q;
-    count += weight_q;
-    maxDisturbanceQ_ = std::max(maxDisturbanceQ_, count);
-    if (was_below && count >= threshold_q) {
+    Slot &slot = findOrInsert(bank * rowsPerBank_ + row);
+    const std::uint32_t before = slot.count & kCountMask;
+    const std::uint32_t count = before + weight_q;
+    // Auto-refresh bounds a row at ~2.8M quarter units per tREFW;
+    // only a run with refresh disabled could approach 2^31.
+    MITHRIL_ASSERT(count <= kCountMask);
+    slot.count += weight_q;
+    maxDisturbanceQ_ = std::max<std::uint64_t>(maxDisturbanceQ_, count);
+    if (before < thresholdQ_ && count >= thresholdQ_) {
         ++bitFlips_;
-        flippedRows_[RowKey{bank, row}] = true;
-        if (recorder_) {
-            recorder_->record(
-                telemetry::EventKind::OracleFlip, now_, bank, row,
-                static_cast<std::uint32_t>(flippedRows_.size()));
+        if (!(slot.count & kFlippedBit)) {
+            slot.count |= kFlippedBit;
+            ++flippedRows_;
         }
-    } else if (recorder_ && count < threshold_q) {
+        if (recorder_) {
+            recorder_->record(telemetry::EventKind::OracleFlip, now_, bank,
+                              row, static_cast<std::uint32_t>(flippedRows_));
+        }
+    } else if (recorder_ && count < thresholdQ_) {
         // Near-miss line: within 1/8 of FlipTH. Emit once, on the
         // crossing (pure observation; no oracle state changes).
-        const std::uint64_t near_q = threshold_q - threshold_q / 8;
-        if (count >= near_q && count - weight_q < near_q) {
+        const std::uint64_t near_q = thresholdQ_ - thresholdQ_ / 8;
+        if (count >= near_q && before < near_q) {
             recorder_->record(
                 telemetry::EventKind::NearMiss, now_, bank, row,
-                static_cast<std::uint32_t>(threshold_q - count));
+                static_cast<std::uint32_t>(thresholdQ_ - count));
         }
     }
 }
@@ -68,7 +150,7 @@ RhOracle::onActivate(BankId bank, RowId row)
 void
 RhOracle::onRowRefresh(BankId bank, RowId row)
 {
-    counts_.erase(RowKey{bank, row});
+    refresh(bank * rowsPerBank_ + row);
 }
 
 void
@@ -98,17 +180,10 @@ RhOracle::onAutoRefresh(BankId bank, std::uint32_t groups)
 double
 RhOracle::disturbance(BankId bank, RowId row) const
 {
-    auto it = counts_.find(RowKey{bank, row});
-    if (it == counts_.end())
+    const Slot &slot = slots_[probe(bank * rowsPerBank_ + row)];
+    if (slot.key == kEmptyKey)
         return 0.0;
-    return static_cast<double>(it->second) / 4.0;
-}
-
-void
-RhOracle::resetCounts()
-{
-    counts_.clear();
-    std::fill(refreshPtr_.begin(), refreshPtr_.end(), 0);
+    return static_cast<double>(slot.count & kCountMask) / 4.0;
 }
 
 } // namespace mithril::dram

@@ -16,8 +16,8 @@
 #ifndef MITHRIL_DRAM_RH_ORACLE_HH
 #define MITHRIL_DRAM_RH_ORACLE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -81,13 +81,15 @@ class RhOracle
     std::uint64_t bitFlips() const { return bitFlips_; }
 
     /** Number of distinct rows that have ever flipped. */
-    std::uint64_t flippedRows() const { return flippedRows_.size(); }
+    std::uint64_t flippedRows() const { return flippedRows_; }
 
     /** Configured FlipTH. */
     std::uint32_t flipTh() const { return flipTh_; }
 
-    /** Reset all disturbance state (not the high-water mark). */
-    void resetCounts();
+    /** Slots in the row table: a power of two that tracks the peak
+     *  number of resident rows (disturbed and unrefreshed, or ever
+     *  flipped), not the geometry. */
+    std::size_t tableCapacity() const { return slots_.size(); }
 
     /**
      * Attach a mitigation-event recorder: flip and near-miss
@@ -106,39 +108,65 @@ class RhOracle
     void setNow(Tick now) { now_ = now; }
 
   private:
-    struct RowKey
+    /**
+     * One resident row: flat key `bank * rowsPerBank + row` and its
+     * disturbance in quarter-ACT units. The top count bit marks a row
+     * that has ever flipped; such a row stays resident (count 0)
+     * after a refresh so flippedRows() counts it once.
+     */
+    struct Slot
     {
-        BankId bank;
-        RowId row;
-        bool operator==(const RowKey &o) const
-        {
-            return bank == o.bank && row == o.row;
-        }
+        std::uint32_t key;
+        std::uint32_t count;
     };
 
-    struct RowKeyHash
+    static constexpr std::uint32_t kEmptyKey = 0xffffffffu;
+    static constexpr std::uint32_t kFlippedBit = 0x80000000u;
+    static constexpr std::uint32_t kCountMask = kFlippedBit - 1;
+
+    /** Fibonacci hash: the top bits of key * 2^64/phi, so every key
+     *  bit (bank bits included) reaches the slot index. */
+    std::uint32_t home(std::uint32_t key) const
     {
-        std::size_t operator()(const RowKey &k) const
-        {
-            return (static_cast<std::size_t>(k.bank) << 32) ^ k.row;
-        }
-    };
+        return static_cast<std::uint32_t>(
+            (key * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
 
     void disturb(BankId bank, RowId row, std::uint32_t weight_q);
+    /** Slot holding the key, or the empty slot ending its probe
+     *  chain when the key is absent. */
+    std::uint32_t probe(std::uint32_t key) const;
+    /** The row's slot, inserted with count 0 if absent. */
+    Slot &findOrInsert(std::uint32_t key);
+    /** Zero the row's count; free its slot unless it has flipped. */
+    void refresh(std::uint32_t key);
+    /** Move every resident row into a fresh table of `capacity`
+     *  (a power of two) slots. */
+    void rehash(std::uint32_t capacity);
 
     std::uint32_t banks_;
     std::uint32_t rowsPerBank_;
     std::uint32_t flipTh_;
     std::uint32_t blastRadius_;
 
-    /** Disturbance counts in quarter-ACT units, sparse. */
-    std::unordered_map<RowKey, std::uint64_t, RowKeyHash> counts_;
+    std::uint64_t thresholdQ_; //!< FlipTH in quarter-ACT units.
+
+    /**
+     * Open-addressing row table: linear probing, backward-shift
+     * erase (no tombstones), doubled past 3/4 load. Empty slots hold
+     * kEmptyKey.
+     */
+    std::vector<Slot> slots_;
+    std::uint32_t mask_ = 0;
+    std::uint32_t shift_ = 0;
+    std::uint32_t resident_ = 0;
+    std::uint32_t growAt_ = 0;
     /** Per-bank auto-refresh rotation pointer (next row to refresh). */
     std::vector<RowId> refreshPtr_;
 
     std::uint64_t maxDisturbanceQ_ = 0;
     std::uint64_t bitFlips_ = 0;
-    std::unordered_map<RowKey, bool, RowKeyHash> flippedRows_;
+    std::uint64_t flippedRows_ = 0;
 
     telemetry::EventRecorder *recorder_ = nullptr;
     Tick now_ = 0;

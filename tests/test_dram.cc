@@ -4,14 +4,24 @@
  * machines, energy metering, and the ground-truth RH oracle.
  */
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "dram/bank.hh"
 #include "dram/device.hh"
 #include "dram/energy.hh"
 #include "dram/rank.hh"
 #include "dram/rh_oracle.hh"
 #include "dram/timing.hh"
+#include "telemetry/event_trace.hh"
 
 namespace mithril::dram
 {
@@ -278,6 +288,314 @@ TEST(OracleBlastRadius, NeighborRefreshCoversRadius)
     oracle.onNeighborRefresh(0, 10);
     EXPECT_DOUBLE_EQ(oracle.disturbance(0, 8), 0.0);
     EXPECT_DOUBLE_EQ(oracle.disturbance(0, 12), 0.0);
+}
+
+// ------------------------------------------- oracle vs reference model
+
+/**
+ * The oracle's semantics over ordered containers: disturbance counts
+ * in a std::map, flipped rows in a std::set, and the OracleFlip /
+ * NearMiss events it must emit, per bank.
+ */
+class ReferenceOracle
+{
+  public:
+    using Row = std::pair<BankId, RowId>;
+
+    ReferenceOracle(std::uint32_t banks, std::uint32_t rows,
+                    std::uint32_t flip_th, std::uint32_t radius)
+        : rows_(rows), radius_(radius),
+          thresholdQ_(std::uint64_t{flip_th} * 4), refreshPtr_(banks, 0),
+          events_(banks)
+    {
+    }
+
+    void activate(BankId bank, RowId row, Tick now)
+    {
+        for (std::uint32_t d = 1; d <= radius_; ++d) {
+            const std::uint32_t weight_q = (d == 1) ? 4 : 1;
+            if (row >= d)
+                disturb(bank, row - d, weight_q, now);
+            if (row + d < rows_)
+                disturb(bank, row + d, weight_q, now);
+        }
+    }
+
+    void refreshRow(BankId bank, RowId row) { counts_.erase({bank, row}); }
+
+    void refreshNeighbors(BankId bank, RowId aggressor)
+    {
+        for (std::uint32_t d = 1; d <= radius_; ++d) {
+            if (aggressor >= d)
+                refreshRow(bank, aggressor - d);
+            if (aggressor + d < rows_)
+                refreshRow(bank, aggressor + d);
+        }
+    }
+
+    void autoRefresh(BankId bank, std::uint32_t groups)
+    {
+        RowId &ptr = refreshPtr_[bank];
+        for (std::uint32_t i = 0; i < (rows_ + groups - 1) / groups; ++i) {
+            refreshRow(bank, ptr);
+            ptr = (ptr + 1) % rows_;
+        }
+    }
+
+    double disturbance(BankId bank, RowId row) const
+    {
+        const auto it = counts_.find({bank, row});
+        return it == counts_.end() ? 0.0 : it->second / 4.0;
+    }
+
+    /** Rows the oracle must keep: disturbed and unrefreshed, or ever
+     *  flipped. */
+    std::size_t resident() const
+    {
+        std::size_t n = counts_.size();
+        for (const Row &r : flipped_)
+            n += counts_.count(r) == 0 ? 1 : 0;
+        return n;
+    }
+
+    const std::map<Row, std::uint64_t> &counts() const { return counts_; }
+    double maxDisturbanceEver() const { return maxQ_ / 4.0; }
+    std::uint64_t bitFlips() const { return bitFlips_; }
+    std::uint64_t flippedRows() const { return flipped_.size(); }
+    const std::vector<telemetry::TraceEvent> &events(BankId bank) const
+    {
+        return events_[bank];
+    }
+
+  private:
+    void disturb(BankId bank, RowId row, std::uint32_t weight_q, Tick now)
+    {
+        std::uint64_t &count = counts_[{bank, row}];
+        const std::uint64_t before = count;
+        count += weight_q;
+        maxQ_ = std::max(maxQ_, count);
+        telemetry::TraceEvent ev;
+        ev.tick = now;
+        ev.bank = bank;
+        ev.row = row;
+        const std::uint64_t near_q = thresholdQ_ - thresholdQ_ / 8;
+        if (before < thresholdQ_ && count >= thresholdQ_) {
+            ++bitFlips_;
+            flipped_.insert({bank, row});
+            ev.kind = telemetry::EventKind::OracleFlip;
+            ev.arg = static_cast<std::uint32_t>(flipped_.size());
+            events_[bank].push_back(ev);
+        } else if (count < thresholdQ_ && count >= near_q &&
+                   before < near_q) {
+            ev.kind = telemetry::EventKind::NearMiss;
+            ev.arg = static_cast<std::uint32_t>(thresholdQ_ - count);
+            events_[bank].push_back(ev);
+        }
+    }
+
+    std::uint32_t rows_;
+    std::uint32_t radius_;
+    std::uint64_t thresholdQ_;
+    std::map<Row, std::uint64_t> counts_;
+    std::set<Row> flipped_;
+    std::vector<RowId> refreshPtr_;
+    std::uint64_t maxQ_ = 0;
+    std::uint64_t bitFlips_ = 0;
+    std::vector<std::vector<telemetry::TraceEvent>> events_;
+};
+
+/** First difference between the oracle and the model on the global
+ *  counters and the given rows ("" when they agree). */
+std::string
+oracleMismatch(const RhOracle &oracle, const ReferenceOracle &ref,
+               const std::vector<ReferenceOracle::Row> &rows)
+{
+    std::ostringstream out;
+    if (oracle.maxDisturbanceEver() != ref.maxDisturbanceEver())
+        out << "maxDisturbanceEver " << oracle.maxDisturbanceEver()
+            << " != " << ref.maxDisturbanceEver();
+    else if (oracle.bitFlips() != ref.bitFlips())
+        out << "bitFlips " << oracle.bitFlips() << " != " << ref.bitFlips();
+    else if (oracle.flippedRows() != ref.flippedRows())
+        out << "flippedRows " << oracle.flippedRows()
+            << " != " << ref.flippedRows();
+    for (const auto &[bank, row] : rows) {
+        if (!out.str().empty())
+            break;
+        if (oracle.disturbance(bank, row) != ref.disturbance(bank, row))
+            out << "disturbance(" << bank << ", " << row
+                << ") " << oracle.disturbance(bank, row)
+                << " != " << ref.disturbance(bank, row);
+    }
+    return out.str();
+}
+
+/** Every row the model holds a count for, plus its radius-3 ring. */
+std::vector<ReferenceOracle::Row>
+modelRows(const ReferenceOracle &ref, std::uint32_t rows)
+{
+    std::vector<ReferenceOracle::Row> out;
+    for (const auto &[key, count] : ref.counts()) {
+        for (RowId r = key.second >= 3 ? key.second - 3 : 0;
+             r < std::min(key.second + 4, rows); ++r)
+            out.emplace_back(key.first, r);
+    }
+    return out;
+}
+
+class OracleProperty : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+/**
+ * Random activate / row refresh / neighbour refresh / auto-refresh
+ * streams through the oracle and the model. Rows are drawn from the
+ * bank edges, from a few row indices shared by every bank (keys that
+ * differ only in their bank bits), and uniformly; a fill phase grows
+ * the table several times and a drain phase erases most of it.
+ */
+TEST_P(OracleProperty, MatchesReferenceModel)
+{
+    constexpr std::uint32_t kBanks = 32, kRows = 512, kFlipTh = 12;
+    constexpr std::uint32_t kGroups = 64, kOps = 24000;
+    const std::uint32_t radius = GetParam();
+    RhOracle oracle(kBanks, kRows, kFlipTh, radius);
+    ReferenceOracle ref(kBanks, kRows, kFlipTh, radius);
+    telemetry::EventRecorder recorder(kBanks, 1u << 16);
+    oracle.setEventRecorder(&recorder);
+    const std::size_t initial_capacity = oracle.tableCapacity();
+    std::size_t peak = 0;
+
+    Rng rng(0x5eed0000 + radius);
+    const RowId edges[] = {0, 1, 2, kRows - 3, kRows - 2, kRows - 1};
+    const RowId shared[] = {7, 100, 101, 300};
+    for (std::uint32_t step = 0; step < kOps; ++step) {
+        const BankId bank = static_cast<BankId>(rng.nextBounded(kBanks));
+        const double pick = rng.nextDouble();
+        const RowId row =
+            pick < 0.15   ? edges[rng.nextBounded(6)]
+            : pick < 0.45 ? shared[rng.nextBounded(4)]
+                          : static_cast<RowId>(rng.nextBounded(kRows));
+        // Fill phase: mostly activations. Drain phase: mostly refreshes.
+        const double act_share = step < kOps / 2 ? 0.85 : 0.3;
+        const double op = rng.nextDouble();
+        const Tick now = step;
+        oracle.setNow(now);
+        if (op < act_share) {
+            oracle.onActivate(bank, row);
+            ref.activate(bank, row, now);
+        } else if (op < act_share + (1 - act_share) / 3) {
+            oracle.onRowRefresh(bank, row);
+            ref.refreshRow(bank, row);
+        } else if (op < act_share + 2 * (1 - act_share) / 3) {
+            oracle.onNeighborRefresh(bank, row);
+            ref.refreshNeighbors(bank, row);
+        } else {
+            oracle.onAutoRefresh(bank, kGroups);
+            ref.autoRefresh(bank, kGroups);
+        }
+
+        std::vector<ReferenceOracle::Row> touched;
+        for (RowId r = row >= 3 ? row - 3 : 0; r < std::min(row + 4, kRows);
+             ++r)
+            touched.emplace_back(bank, r);
+        ASSERT_EQ(oracleMismatch(oracle, ref, touched), "")
+            << "radius " << radius << " step " << step;
+        using telemetry::EventKind;
+        std::uint64_t flips = 0, near = 0;
+        for (BankId b = 0; b < kBanks; ++b) {
+            for (const auto &ev : ref.events(b)) {
+                flips += ev.kind == EventKind::OracleFlip;
+                near += ev.kind == EventKind::NearMiss;
+            }
+        }
+        ASSERT_EQ(recorder.emittedOfKind(EventKind::OracleFlip), flips)
+            << "step " << step;
+        ASSERT_EQ(recorder.emittedOfKind(EventKind::NearMiss), near)
+            << "step " << step;
+
+        peak = std::max(peak, ref.resident());
+        ASSERT_LE(oracle.tableCapacity(),
+                  std::max(initial_capacity, 4 * peak))
+            << "step " << step;
+        if (step % 1000 == 999) {
+            ASSERT_EQ(oracleMismatch(oracle, ref, modelRows(ref, kRows)), "")
+                << "radius " << radius << " step " << step;
+        }
+    }
+
+    // At least three growths, and memory still tracks the peak
+    // resident row count rather than the 16K-row geometry.
+    EXPECT_GE(oracle.tableCapacity(), initial_capacity * 8);
+    EXPECT_LE(oracle.tableCapacity(), 4 * peak);
+    EXPECT_GT(ref.bitFlips(), ref.flippedRows());  // Re-flipped rows.
+    EXPECT_GT(recorder.emittedOfKind(telemetry::EventKind::NearMiss), 0u);
+    for (BankId b = 0; b < kBanks; ++b)
+        EXPECT_EQ(recorder.bankEvents(b), ref.events(b)) << "bank " << b;
+}
+
+INSTANTIATE_TEST_SUITE_P(BlastRadius, OracleProperty,
+                         ::testing::Values(1u, 2u, 3u));
+
+TEST(OracleTable, EraseChainsWrapPastTableEnd)
+{
+    // Two rows per bank: activating one row disturbs only the other,
+    // so each activation inserts exactly one chosen flat key
+    // (bank * 2 + row). Keys are picked by the table's Fibonacci
+    // home slot so one probe chain starts in the last two slots and
+    // wraps past the end into slots 0, 1, ...
+    constexpr std::uint32_t kBanks = 4096, kRows = 2;
+    RhOracle oracle(kBanks, kRows, 1000, 1);
+    ReferenceOracle ref(kBanks, kRows, 1000, 1);
+    const std::uint32_t capacity =
+        static_cast<std::uint32_t>(oracle.tableCapacity());
+    const int shift = 64 - __builtin_ctz(capacity);
+    auto home = [&](std::uint32_t key) {
+        return static_cast<std::uint32_t>(
+            (key * 0x9e3779b97f4a7c15ull) >> shift);
+    };
+    std::vector<std::uint32_t> keys;
+    for (std::uint32_t want : {capacity - 2, capacity - 1, capacity - 1,
+                               capacity - 1, 0u, 0u, 1u, capacity - 2}) {
+        std::uint32_t key = 0;
+        while (home(key) != want ||
+               std::find(keys.begin(), keys.end(), key) != keys.end())
+            ++key;
+        keys.push_back(key);
+    }
+    std::vector<ReferenceOracle::Row> all;
+    for (std::uint32_t key : keys)
+        all.emplace_back(key / kRows, key % kRows);
+
+    auto insert = [&](std::uint32_t key, int times) {
+        for (int i = 0; i < times; ++i) {
+            oracle.onActivate(key / kRows, 1 - key % kRows);
+            ref.activate(key / kRows, 1 - key % kRows, 0);
+        }
+    };
+    // Distinct counts per key, so a row shifted into the wrong slot
+    // shows up as a wrong disturbance.
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        insert(keys[i], static_cast<int>(i) + 1);
+    ASSERT_EQ(oracle.tableCapacity(), capacity);
+    ASSERT_EQ(oracleMismatch(oracle, ref, all), "");
+
+    // Erase from the chain head, the middle, and past the wrap, then
+    // refill and erase in the reverse order.
+    for (int round = 0; round < 2; ++round) {
+        std::vector<std::size_t> order = {0, 3, 1, 5, 7, 2, 6, 4};
+        if (round == 1)
+            std::reverse(order.begin(), order.end());
+        for (std::size_t idx : order) {
+            oracle.onRowRefresh(all[idx].first, all[idx].second);
+            ref.refreshRow(all[idx].first, all[idx].second);
+            ASSERT_EQ(oracleMismatch(oracle, ref, all), "")
+                << "round " << round << " erase " << idx;
+        }
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            insert(keys[i], static_cast<int>(i) + 2);
+        ASSERT_EQ(oracleMismatch(oracle, ref, all), "");
+    }
 }
 
 TEST(DeviceTest, ActivateInformsOracleAndMeters)
