@@ -259,7 +259,7 @@ Controller::choose(Tick t0)
     std::uint64_t bl_known = 0;
     std::uint64_t bl_set = 0;
     for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const Request &req = queue_[i];
+        Request &req = queue_[i];
         BankCtl &ctl = bankCtl(req.bank);
         if (ctl.rfmRequired || !ctl.pendingArr.empty())
             continue;  // Bank fenced for protection work.
@@ -300,12 +300,18 @@ Controller::choose(Tick t0)
                 const Tick throttled =
                     tracker->throttleAct(req.bank, req.row, t);
                 if (throttled > t) {
-                    if (eventRecorder_) {
-                        eventRecorder_->record(
-                            telemetry::EventKind::ThrottleStall, t,
-                            req.bank, req.row, 0, throttled - t);
+                    // One stall per delayed request: the scheduler
+                    // re-probes a waiting ACT on every pass, so a
+                    // per-probe count would measure the pass rate.
+                    if (!req.throttled) {
+                        req.throttled = true;
+                        ++stats_.throttleStalls;
+                        if (eventRecorder_) {
+                            eventRecorder_->record(
+                                telemetry::EventKind::ThrottleStall, t,
+                                req.bank, req.row, 0, throttled - t);
+                        }
                     }
-                    ++stats_.throttleStalls;
                     t = throttled;
                 }
             }

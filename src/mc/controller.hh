@@ -80,7 +80,8 @@ struct ControllerStats
     std::uint64_t rfmIssued = 0;
     std::uint64_t rfmSkippedByMrr = 0;  //!< Mithril+ avoided commands.
     std::uint64_t arrExecuted = 0;
-    std::uint64_t throttleStalls = 0;
+    std::uint64_t throttleStalls = 0;   //!< Requests whose ACT the
+                                        //!< tracker delayed (once each).
     double totalReadLatencyNs = 0.0;
     /** Read latency distribution (ns), 20ns buckets up to 2us. */
     Histogram readLatencyNs{0.0, 2000.0, 100};

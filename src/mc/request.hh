@@ -25,6 +25,10 @@ struct Request
     std::uint32_t coreId = 0;
     Tick arrival = 0;      //!< Tick the request entered the MC queue.
     std::uint64_t seq = 0; //!< Global arrival order (FCFS tiebreak).
+    /** Set by the controller the first time the tracker delays this
+     *  request's ACT; each delayed request counts one throttle stall,
+     *  however often the scheduler re-probes it. */
+    bool throttled = false;
 
     // Decoded address fields (filled by AddressMap::decode).
     std::uint32_t channel = 0;
