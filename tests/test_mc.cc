@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
+#include "common/random.hh"
 #include "core/mithril.hh"
 #include "dram/device.hh"
 #include "mc/address_map.hh"
@@ -205,6 +207,27 @@ TEST(AddressMapGeometries, FlatBankIsBijectiveOverFullBankSpace)
 
 // --------------------------------------------------------- Controller
 
+/** A reactive test tracker: requests an ARR on every 8th ACT. */
+class EveryNthArr : public trackers::RhProtection
+{
+  public:
+    std::string name() const override { return "test"; }
+    trackers::Location location() const override
+    {
+        return trackers::Location::Mc;
+    }
+    void
+    onActivate(BankId, RowId row, Tick, std::vector<RowId> &arr) override
+    {
+        if (++count_ % 8 == 0)
+            arr.push_back(row);
+    }
+    double tableBytesPerBank() const override { return 0.0; }
+
+  private:
+    std::uint64_t count_ = 0;
+};
+
 class ControllerTest : public ::testing::Test
 {
   protected:
@@ -387,28 +410,6 @@ TEST_F(ControllerTest, MithrilPlusSkipsNeedlessRfm)
 
 TEST_F(ControllerTest, ArrExecutedForReactiveTracker)
 {
-    // A tracker that requests an ARR on every 8th ACT.
-    class EveryNthArr : public trackers::RhProtection
-    {
-      public:
-        std::string name() const override { return "test"; }
-        trackers::Location location() const override
-        {
-            return trackers::Location::Mc;
-        }
-        void
-        onActivate(BankId, RowId row, Tick,
-                   std::vector<RowId> &arr) override
-        {
-            if (++count_ % 8 == 0)
-                arr.push_back(row);
-        }
-        double tableBytesPerBank() const override { return 0.0; }
-
-      private:
-        std::uint64_t count_ = 0;
-    };
-
     build(std::make_unique<EveryNthArr>());
     for (int i = 0; i < 32; ++i) {
         ASSERT_TRUE(
@@ -606,6 +607,228 @@ TEST_F(ControllerTest, IdleReflectsPendingWork)
     EXPECT_FALSE(ctrl_->idle());
     drain();
     EXPECT_TRUE(ctrl_->idle());
+}
+
+// ------------------------------------------------- scheduler pins
+
+/** FNV-1a-64 over little-endian 64-bit words. */
+class Fnv64
+{
+  public:
+    void
+    mix(std::uint64_t x)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (x >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+    void
+    mixDouble(double d)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof bits);
+        mix(bits);
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+enum class PinTracker
+{
+    Mithril,
+    MithrilPlus,
+    EveryNthArr,
+    BlockHammer,
+};
+
+/**
+ * Pins every scheduling decision on the paths the goldens never reach:
+ * the REFsb rotation, the DDR5 RAA decrement, ARR work and BlockHammer
+ * throttling, under BLISS with a dozen cores. One seeded random stream
+ * (hot row pairs, row hits, writes, a streaky core 0) runs through one
+ * standalone controller per case; the digest covers the ACT stream,
+ * every completion (tick, seq) and the final ControllerStats. A
+ * scheduler change that claims to be exact must leave every digest
+ * unchanged; an intended model change re-pins them.
+ */
+TEST_F(ControllerTest, SchedulerDecisionsArePinned)
+{
+    struct Case
+    {
+        bool perBankRefresh;
+        std::uint32_t raaRefDecrement;
+        PinTracker tracker;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {false, 0, PinTracker::Mithril, 0xd98c15403414a543ull},
+        {false, 0, PinTracker::MithrilPlus, 0x606aa7f342950b88ull},
+        {false, 0, PinTracker::EveryNthArr, 0x44bdb2ba106d4cb4ull},
+        {false, 0, PinTracker::BlockHammer, 0x6ff5a6e249af2275ull},
+        {false, 8, PinTracker::Mithril, 0xe896617dbd92a6a1ull},
+        {false, 8, PinTracker::MithrilPlus, 0xf3b074f2ba60e13bull},
+        {false, 8, PinTracker::EveryNthArr, 0x44bdb2ba106d4cb4ull},
+        {false, 8, PinTracker::BlockHammer, 0x6ff5a6e249af2275ull},
+        {true, 0, PinTracker::Mithril, 0x18b5bbe8f2350fa0ull},
+        {true, 0, PinTracker::MithrilPlus, 0x32f24fe927fa61eeull},
+        {true, 0, PinTracker::EveryNthArr, 0xf9539021dee3cae9ull},
+        {true, 0, PinTracker::BlockHammer, 0x486f6cce97f53139ull},
+        {true, 8, PinTracker::Mithril, 0xc8d4a85cb57eb450ull},
+        {true, 8, PinTracker::MithrilPlus, 0x10a1c0c58b215f11ull},
+        {true, 8, PinTracker::EveryNthArr, 0xf9539021dee3cae9ull},
+        {true, 8, PinTracker::BlockHammer, 0x486f6cce97f53139ull},
+    };
+    constexpr std::size_t kRequests = 4000;
+    constexpr std::uint32_t kCores = 12;
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << "refsb=" << c.perBankRefresh
+                     << " raa-dec=" << c.raaRefDecrement
+                     << " tracker=" << static_cast<int>(c.tracker));
+        std::unique_ptr<trackers::RhProtection> tracker;
+        core::MithrilParams mp;
+        mp.nEntry = 64;
+        mp.rfmTh = 16;
+        switch (c.tracker) {
+          case PinTracker::MithrilPlus:
+            mp.plusMode = true;
+            mp.adTh = 20;
+            [[fallthrough]];
+          case PinTracker::Mithril:
+            tracker = std::make_unique<core::Mithril>(
+                geom_.totalBanks(), mp);
+            break;
+          case PinTracker::EveryNthArr:
+            tracker = std::make_unique<EveryNthArr>();
+            break;
+          case PinTracker::BlockHammer: {
+            // ThrottledActIsDelayed's filters, with a CBF lifetime
+            // short enough that throttled ACTs resume and both
+            // filters rotate within the stream.
+            trackers::BlockHammerParams bp;
+            bp.cbfSize = 256;
+            bp.nbl = 8;
+            bp.flipTh = 100;
+            bp.tCbf = usToTick(20.0);
+            bp.tRc = timing_.tRC;
+            tracker = std::make_unique<trackers::BlockHammer>(
+                geom_.totalBanks(), bp);
+            break;
+          }
+        }
+        ControllerParams params;
+        params.perBankRefresh = c.perBankRefresh;
+        params.raaRefDecrement = c.raaRefDecrement;
+        build(std::move(tracker), params);
+        completions_.clear();
+
+        Fnv64 fnv;
+        device_->setActObserver([&fnv](BankId b, RowId r, Tick t) {
+            fnv.mix(b);
+            fnv.mix(r);
+            fnv.mix(static_cast<std::uint64_t>(t));
+        });
+
+        struct Arrival
+        {
+            Tick at;
+            Request req;
+        };
+        // Core 0 streams lines in row order (row-hit runs, so BLISS
+        // blacklists it); the others hit a hot row pair or random rows.
+        std::vector<Arrival> stream;
+        Rng rng(0x5eedull);
+        Tick at = 0;
+        std::uint32_t streamed = 0;
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            at += static_cast<Tick>(rng.nextBounded(nsToTick(12.0)));
+            const bool write = rng.nextBounded(10) < 3;
+            if (rng.nextBounded(3) == 0) {
+                const std::uint32_t k = streamed++;
+                stream.push_back({at, makeReq((k / 8) % 8, 500 + k / 64,
+                                              k % 128, write, 0)});
+                continue;
+            }
+            const auto core = 1 + static_cast<std::uint32_t>(
+                                      rng.nextBounded(kCores - 1));
+            const auto bank =
+                static_cast<std::uint32_t>(rng.nextBounded(8));
+            const RowId row =
+                rng.nextBounded(4) == 0
+                    ? 100 + 2 * static_cast<RowId>(rng.nextBounded(2))
+                    : static_cast<RowId>(rng.nextBounded(2048));
+            const auto col =
+                static_cast<std::uint32_t>(rng.nextBounded(128));
+            stream.push_back(
+                {at, makeReq(bank, row, col, write, core)});
+        }
+
+        // The System's service rule: at the controller's own next tick
+        // and whenever it receives a request.
+        const Tick horizon = msToTick(2.0);
+        Tick now = 0;
+        Tick next = 0;
+        std::size_t admitted = 0;
+        for (;;) {
+            while (admitted < stream.size() &&
+                   stream[admitted].at <= now &&
+                   ctrl_->enqueue(stream[admitted].req, now)) {
+                ++admitted;
+                next = std::min(next, now);
+            }
+            if (admitted == stream.size() && ctrl_->idle())
+                break;
+            if (next <= now) {
+                next = ctrl_->service(now);
+                continue;
+            }
+            Tick t = next;
+            if (admitted < stream.size() &&
+                ctrl_->queueDepth() < params.queueCapacity)
+                t = std::min(t, stream[admitted].at);
+            ASSERT_LE(t, horizon);
+            now = t;
+        }
+
+        const ControllerStats &s = ctrl_->stats();
+        ASSERT_EQ(completions_.size(), kRequests);
+        EXPECT_GT(s.refreshes, 0u);
+        switch (c.tracker) {
+          case PinTracker::Mithril:
+            EXPECT_GT(s.rfmIssued, 0u);
+            break;
+          case PinTracker::MithrilPlus:
+            EXPECT_GT(s.rfmIssued, 0u);
+            EXPECT_GT(s.rfmSkippedByMrr, 0u);
+            break;
+          case PinTracker::EveryNthArr:
+            EXPECT_GT(s.arrExecuted, 0u);
+            break;
+          case PinTracker::BlockHammer:
+            EXPECT_GT(s.throttleStalls, 0u);
+            break;
+        }
+
+        for (const auto &[req, tick] : completions_) {
+            fnv.mix(static_cast<std::uint64_t>(tick));
+            fnv.mix(req.seq);
+        }
+        for (std::uint64_t x :
+             {s.reads, s.writes, s.rowHits, s.rowMisses, s.activates,
+              s.precharges, s.refreshes, s.rfmIssued, s.rfmSkippedByMrr,
+              s.arrExecuted, s.throttleStalls,
+              s.readLatencyNs.totalSamples()})
+            fnv.mix(x);
+        fnv.mixDouble(s.totalReadLatencyNs);
+        fnv.mixDouble(s.readLatencyNs.percentile(0.95));
+        fnv.mix(static_cast<std::uint64_t>(now));
+        EXPECT_EQ(fnv.value(), c.digest)
+            << "digest 0x" << std::hex << fnv.value();
+    }
 }
 
 } // namespace

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/mithril.hh"
 #include "sim/act_harness.hh"
 #include "sim/event_queue.hh"
@@ -119,6 +122,32 @@ smallRun(const std::string &scheme)
     return spec;
 }
 
+/** Every simulated RunMetrics field on one line, doubles at %.17g. */
+std::string
+render(const RunMetrics &m)
+{
+    char buf[1024];
+    std::snprintf(
+        buf, sizeof buf,
+        "ipc=%.17g energy=%.17g ticks=%lld acts=%llu reads=%llu "
+        "writes=%llu rfm=%llu skip=%llu arr=%llu prev=%llu "
+        "stalls=%llu maxd=%.17g flips=%llu lat=%.17g p95=%.17g "
+        "bytes=%.17g telemetry=%zu",
+        m.aggIpc, m.energyPj, static_cast<long long>(m.simTicks),
+        static_cast<unsigned long long>(m.acts),
+        static_cast<unsigned long long>(m.reads),
+        static_cast<unsigned long long>(m.writes),
+        static_cast<unsigned long long>(m.rfmIssued),
+        static_cast<unsigned long long>(m.rfmSkippedMrr),
+        static_cast<unsigned long long>(m.arrExecuted),
+        static_cast<unsigned long long>(m.preventiveRefreshes),
+        static_cast<unsigned long long>(m.throttleStalls),
+        m.maxDisturbance, static_cast<unsigned long long>(m.bitFlips),
+        m.avgReadLatencyNs, m.p95ReadLatencyNs, m.trackerBytesPerBank,
+        m.telemetry.size());
+    return buf;
+}
+
 TEST(SystemIntegration, BaselineRunProducesTraffic)
 {
     const RunMetrics m = runExperiment(smallRun("none"));
@@ -194,6 +223,36 @@ TEST(SystemIntegration, BlockHammerThrottlesAttacker)
     spec.flipTh = 1500;
     const RunMetrics m = runExperiment(spec);
     EXPECT_GT(m.throttleStalls, 0u);
+
+    // The only System run that throttles: pin every simulated result
+    // so a scheduler change that claims exactness is checked on the
+    // throttle path too (no golden reaches it).
+    EXPECT_EQ(render(m),
+              "ipc=1.9910427279469045 energy=7638256 ticks=83776176 "
+              "acts=6136 reads=18124 writes=6249 rfm=0 skip=0 arr=0 "
+              "prev=0 stalls=16 maxd=980 flips=0 "
+              "lat=102.28341690576104 p95=320 bytes=21248 "
+              "telemetry=0");
+}
+
+TEST(SystemIntegration, PerBankRefreshRunIsPinned)
+{
+    // REFsb falls due every tREFI/banksPerRank, so this run keeps
+    // crossing refresh drains; with the DDR5 RAA decrement on, no
+    // golden reaches it. Pinned like BlockHammerThrottlesAttacker.
+    ExperimentSpec spec = smallRun("mithril");
+    spec.attack = "multi-sided";
+    spec.flipTh = 1500;
+    spec.instrPerCore = 50000;
+    spec.sys.mcParams.perBankRefresh = true;
+    spec.sys.mcParams.raaRefDecrement = 8;
+    const RunMetrics m = runExperiment(spec);
+    EXPECT_EQ(render(m),
+              "ipc=2.0053857822186711 energy=2404680 ticks=24240499 "
+              "acts=3880 reads=3699 writes=1416 rfm=15 skip=0 arr=0 "
+              "prev=0 stalls=0 maxd=24 flips=0 "
+              "lat=307.15107866991093 p95=1020 bytes=5386.5 "
+              "telemetry=0");
 }
 
 TEST(SystemIntegration, UnprotectedLongAttackFlipsBits)
