@@ -36,6 +36,8 @@ Controller::Controller(dram::Device &device, const AddressMap &map,
     firstRank_ = channel_ * geom.ranksPerChannel;
     firstBank_ = firstRank_ * geom.banksPerRank;
     banks_.resize(geom.ranksPerChannel * geom.banksPerRank);
+    actMemo_.resize(banks_.size());
+    rankPass_.resize(geom.ranksPerChannel);
 
     const std::uint32_t total_ranks =
         geom.channels * geom.ranksPerChannel;
@@ -71,54 +73,42 @@ Controller::enqueue(const Request &req, Tick now)
     return true;
 }
 
-bool
-Controller::idle() const
-{
-    if (!queue_.empty())
-        return false;
-    for (const auto &bank : banks_)
-        if (bank.rfmRequired || !bank.pendingArr.empty())
-            return false;
-    return true;
-}
-
-bool
-Controller::blacklisted(std::uint32_t core, Tick t) const
-{
-    if (!params_.useBliss)
-        return false;
-    auto it = bliss_.blacklistUntil.find(core);
-    return it != bliss_.blacklistUntil.end() && it->second > t;
-}
-
 void
 Controller::noteServed(std::uint32_t core, Tick t)
 {
     if (!params_.useBliss)
         return;
     if (bliss_.lastCore == core) {
-        if (++bliss_.streak > params_.blissStreak)
+        if (++bliss_.streak > params_.blissStreak) {
+            if (core >= bliss_.blacklistUntil.size())
+                bliss_.blacklistUntil.resize(core + 1, 0);
             bliss_.blacklistUntil[core] = t + params_.blissDuration;
+        }
     } else {
         bliss_.lastCore = core;
         bliss_.streak = 1;
     }
 }
 
-bool
-Controller::refreshPressing(std::uint32_t rank, BankId bank,
-                            Tick t) const
+Tick
+Controller::earliestAct(BankId bank, Tick t0)
 {
-    if (t < refreshDue_.at(rank - firstRank_) -
-                2 * device_.timing().tRC)
-        return false;
-    if (!params_.perBankRefresh)
-        return true;  // All-bank REF drains the whole rank.
-    // Same-bank REF only fences the rotation's current target.
-    const BankId target =
-        rank * device_.geometry().banksPerRank +
-        refreshBankPtr_.at(rank - firstRank_);
-    return bank == target;
+    ActMemo &memo = actMemo_[bank - firstBank_];
+    if (memo.pass != pass_) {
+        memo.pass = pass_;
+        memo.tick = device_.earliestAct(bank, t0);
+    }
+    return memo.tick;
+}
+
+void
+Controller::recountOwed(const BankCtl &ctl, bool owed_before)
+{
+    const bool owed = owes(ctl);
+    if (owed && !owed_before)
+        ++owedBanks_;
+    else if (!owed && owed_before)
+        --owedBanks_;
 }
 
 void
@@ -140,6 +130,7 @@ Controller::handleActSideEffects(BankId bank, Tick t,
 {
     (void)t;
     BankCtl &ctl = bankCtl(bank);
+    const bool owed_before = owes(ctl);
     auto *tracker = device_.tracker();
     if (tracker && tracker->usesRfm()) {
         if (++ctl.raa >= tracker->rfmTh())
@@ -148,6 +139,7 @@ Controller::handleActSideEffects(BankId bank, Tick t,
     for (RowId aggressor : arr_out)
         ctl.pendingArr.push_back(aggressor);
     arr_out.clear();
+    recountOwed(ctl, owed_before);
 }
 
 Controller::Decision
@@ -156,6 +148,7 @@ Controller::choose(Tick t0)
     const auto &geom = device_.geometry();
     const std::uint32_t banks_per_channel =
         geom.ranksPerChannel * geom.banksPerRank;
+    ++pass_;
 
     // Commands that cannot issue yet are kept only as wake-up hints so
     // that a stalled high-priority command never blocks ready work on
@@ -163,12 +156,27 @@ Controller::choose(Tick t0)
     Decision future;
     future.kind = Decision::Kind::None;
 
-    // Priority 1: overdue auto-refresh (all-bank REF or DDR5 REFsb).
+    // One sweep over the owned ranks fixes each rank's refresh drain
+    // for the pass, notes when the next drain starts or refresh falls
+    // due, and takes Priority 1: overdue auto-refresh (all-bank REF or
+    // DDR5 REFsb).
+    stableUntil_ = kTickMax;
     for (std::uint32_t r = 0; r < geom.ranksPerChannel; ++r) {
         const std::uint32_t rank = firstRank_ + r;
-        if (t0 < refreshDue_[r])
-            continue;
         const BankId rank_first = rank * geom.banksPerRank;
+        const Tick due = refreshDue_[r];
+        const Tick drain = due - 2 * device_.timing().tRC;
+        RankPass &rp = rankPass_[r];
+        rp.draining = t0 >= drain;
+        // Same-bank REF only fences the rotation's current target;
+        // all-bank REF drains the whole rank.
+        rp.fenced = params_.perBankRefresh
+                        ? rank_first + refreshBankPtr_[r]
+                        : kAllBanks;
+        if (t0 < due) {
+            stableUntil_ = std::min(stableUntil_, t0 < drain ? drain : due);
+            continue;
+        }
         Decision d;
         if (params_.perBankRefresh) {
             const BankId b = rank_first + refreshBankPtr_[r];
@@ -217,10 +225,11 @@ Controller::choose(Tick t0)
     // Priority 2: RFM-required banks and pending ARR work.
     Decision best;
     auto *tracker = device_.tracker();
-    for (std::uint32_t i = 0; i < banks_per_channel; ++i) {
+    for (std::uint32_t i = 0; owedBanks_ != 0 && i < banks_per_channel;
+         ++i) {
         const BankId b = firstBank_ + i;
         BankCtl &ctl = banks_[i];
-        if (!ctl.rfmRequired && ctl.pendingArr.empty())
+        if (!owes(ctl))
             continue;
         const auto &bank = device_.bank(b);
         Decision d;
@@ -254,29 +263,21 @@ Controller::choose(Tick t0)
     // Priority 3: demand requests, BLISS + FR-FCFS + minimalist-open.
     int best_class = 4;
     std::uint64_t best_seq = ~0ull;
-    // Blacklist lookups are hash probes; memoize per core for this
-    // scheduling pass (core ids are small).
-    std::uint64_t bl_known = 0;
-    std::uint64_t bl_set = 0;
+    bool throttling = false;
     for (std::size_t i = 0; i < queue_.size(); ++i) {
         Request &req = queue_[i];
         BankCtl &ctl = bankCtl(req.bank);
-        if (ctl.rfmRequired || !ctl.pendingArr.empty())
+        if (owedBanks_ != 0 && owes(ctl))
             continue;  // Bank fenced for protection work.
-        if (refreshPressing(firstRank_ + req.rank, req.bank, t0))
+        const RankPass &rp = rankPass_[req.rank];
+        if (rp.draining && (rp.fenced == kAllBanks || rp.fenced == req.bank))
             continue;  // Bank/rank draining for REF.
 
-        const std::uint64_t bl_bit = 1ull << (req.coreId & 63);
-        if (!(bl_known & bl_bit)) {
-            bl_known |= bl_bit;
-            if (blacklisted(req.coreId, t0))
-                bl_set |= bl_bit;
-        }
         const auto &bank = device_.bank(req.bank);
         const bool open_hit = bank.isOpen() &&
                               bank.openRow() == req.row &&
                               ctl.rowHitStreak < params_.maxRowHits;
-        const int cls = ((bl_set & bl_bit) ? 2 : 0) +
+        const int cls = (blacklisted(req.coreId, t0) ? 2 : 0) +
                         (open_hit ? 0 : 1);
         if (cls > best_class ||
             (cls == best_class && req.seq >= best_seq)) {
@@ -295,11 +296,12 @@ Controller::choose(Tick t0)
             d.issue = bank.earliestPre(t0);
         } else {
             d.kind = Decision::Kind::Act;
-            Tick t = device_.earliestAct(req.bank, t0);
+            Tick t = earliestAct(req.bank, t0);
             if (tracker) {
                 const Tick throttled =
                     tracker->throttleAct(req.bank, req.row, t);
                 if (throttled > t) {
+                    throttling = true;
                     // One stall per delayed request: the scheduler
                     // re-probes a waiting ACT on every pass, so a
                     // per-probe count would measure the pass rate.
@@ -327,6 +329,11 @@ Controller::choose(Tick t0)
     }
     if (best.kind != Decision::Kind::None)
         return best;
+    // A throttle verdict may lapse before its tick (the tracker's
+    // filters rotate), so a waiting throttled ACT keeps every pass
+    // live.
+    if (throttling)
+        stableUntil_ = t0;
     if (future.issue != kTickMax) {
         // Nothing is ready; report the earliest future command as the
         // wake-up hint without executing it.
@@ -427,8 +434,10 @@ Controller::execute(const Decision &d)
       }
       case Decision::Kind::Rfm: {
         const std::size_t treated = device_.rfm(d.bank, d.issue);
-        bankCtl(d.bank).raa = 0;
-        bankCtl(d.bank).rfmRequired = false;
+        BankCtl &ctl = bankCtl(d.bank);
+        ctl.raa = 0;
+        ctl.rfmRequired = false;
+        recountOwed(ctl, true);
         ++stats_.rfmIssued;
         if (eventRecorder_) {
             eventRecorder_->record(
@@ -438,8 +447,10 @@ Controller::execute(const Decision &d)
         break;
       }
       case Decision::Kind::MrrSkip: {
-        bankCtl(d.bank).raa = 0;
-        bankCtl(d.bank).rfmRequired = false;
+        BankCtl &ctl = bankCtl(d.bank);
+        ctl.raa = 0;
+        ctl.rfmRequired = false;
+        recountOwed(ctl, true);
         ++stats_.rfmSkippedByMrr;
         bus_done = d.issue + params_.mrrLatency;
         if (eventRecorder_) {
@@ -453,6 +464,7 @@ Controller::execute(const Decision &d)
         MITHRIL_ASSERT(!ctl.pendingArr.empty());
         device_.preventiveRefresh(d.bank, d.arrAggressor, d.issue);
         ctl.pendingArr.pop_front();
+        recountOwed(ctl, true);
         ++stats_.arrExecuted;
         if (eventRecorder_) {
             eventRecorder_->record(telemetry::EventKind::ArrFired,

@@ -29,7 +29,6 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/histogram.hh"
@@ -152,7 +151,19 @@ class Controller
     }
 
     /** True when the queue and every pending-work list is empty. */
-    bool idle() const;
+    bool idle() const { return queue_.empty() && owedBanks_ == 0; }
+
+    /**
+     * The first tick at which a scheduling pass could decide anything
+     * the last pass did not foresee, even with no new request: a
+     * rank's refresh drain starts or its refresh falls due (the pass
+     * only looks at a refresh once it is due), or — right away — a
+     * throttled ACT is waiting, since the tracker's verdict may lapse
+     * early. Until then, and until the tick service() returned, a
+     * service() call without a new request is a no-op with no side
+     * effects, so a host may skip it.
+     */
+    Tick stableUntil() const { return stableUntil_; }
 
   private:
     /** A scheduling decision for one instant on this channel. */
@@ -192,7 +203,26 @@ class Controller
     {
         std::uint32_t lastCore = ~0u;
         std::uint32_t streak = 0;
-        std::unordered_map<std::uint32_t, Tick> blacklistUntil;
+        /** Blacklist expiry per core id (grown on first blacklisting;
+         *  0 = never blacklisted). */
+        std::vector<Tick> blacklistUntil;
+    };
+
+    /** One owned rank's refresh drain, fixed for a scheduling pass. */
+    struct RankPass
+    {
+        bool draining = false;  //!< Within 2*tRC of its refresh.
+        /** The bank the drain fences: kAllBanks for an all-bank REF,
+         *  else the REFsb rotation's current target. */
+        BankId fenced = 0;
+    };
+    static constexpr BankId kAllBanks = ~BankId{0};
+
+    /** A bank's earliest legal ACT tick, memoized for one pass. */
+    struct ActMemo
+    {
+        std::uint64_t pass = 0;
+        Tick tick = 0;
     };
 
     /** Pick the next command given bus-free tick t0. */
@@ -201,13 +231,27 @@ class Controller
     /** Commit a decision; returns the tick the bus frees. */
     Tick execute(const Decision &d);
 
-    bool blacklisted(std::uint32_t core, Tick t) const;
+    bool
+    blacklisted(std::uint32_t core, Tick t) const
+    {
+        return core < bliss_.blacklistUntil.size() &&
+               bliss_.blacklistUntil[core] > t;
+    }
     void noteServed(std::uint32_t core, Tick t);
 
-    /** True when the bank must drain for an imminent auto-refresh.
-     *  `rank` is the global flat rank id. */
-    bool refreshPressing(std::uint32_t rank, BankId bank,
-                         Tick t) const;
+    /** Device::earliestAct(bank, t0), computed once per bank a pass. */
+    Tick earliestAct(BankId bank, Tick t0);
+
+    /** True while a bank owes an RFM or ARR: it is fenced from demand
+     *  traffic and counted in owedBanks_. */
+    static bool
+    owes(const BankCtl &ctl)
+    {
+        return ctl.rfmRequired || !ctl.pendingArr.empty();
+    }
+    /** Re-count a bank in owedBanks_ after its RFM/ARR state changed
+     *  from `owed_before`. */
+    void recountOwed(const BankCtl &ctl, bool owed_before);
 
     /** Apply the DDR5 RAA decrement to one refreshed bank. */
     void decrementRaa(BankId bank);
@@ -239,6 +283,12 @@ class Controller
      *  REFsb commands span exactly tREFI. */
     std::vector<Tick> refsbCarry_;
     std::vector<BankCtl> banks_;                 //!< Per owned bank.
+    std::uint32_t owedBanks_ = 0;  //!< Owned banks that owe RFM/ARR.
+
+    std::uint64_t pass_ = 0;       //!< Scheduling passes so far.
+    std::vector<RankPass> rankPass_;  //!< Per owned rank, this pass.
+    std::vector<ActMemo> actMemo_;    //!< Per owned bank.
+    Tick stableUntil_ = 0;
 
     std::uint64_t seq_ = 0;
     ControllerStats stats_;

@@ -89,6 +89,8 @@ System::access(std::uint32_t core_id, const workload::TraceRecord &rec,
         map_->decode(probe);
         return probe.channel;
     };
+    // A lane that receives a request is serviced at `now`; lanes
+    // without new work keep their own next tick.
     auto enqueue = [&](Addr addr, bool write, bool tracked) -> bool {
         mc::Request req;
         req.addr = addr;
@@ -96,7 +98,11 @@ System::access(std::uint32_t core_id, const workload::TraceRecord &rec,
         req.tracked = tracked;
         req.coreId = core_id;
         map_->decode(req);
-        return lanes_[req.channel]->controller->enqueue(req, now);
+        Lane &lane = *lanes_[req.channel];
+        if (!lane.controller->enqueue(req, now))
+            return false;
+        lane.next = std::min(lane.next, now);
+        return true;
     };
 
     if (rec.uncached) {
@@ -292,10 +298,14 @@ System::run()
         if (t_ev == kTickMax || t_ev > config_.horizon)
             break;
         now_ = evq_.popAndRun();
-        // The event may have enqueued requests; give every lane a
-        // chance to act at the current tick.
+        // A lane that received a request was woken by access(). One
+        // without new work would only repeat its last pass unless that
+        // pass's outcome can go stale (a refresh drain or deadline
+        // passed, or a throttled ACT waits), and then it is serviced
+        // at every event, as a lane with new work would be.
         for (auto &lane : lanes_)
-            lane->next = std::min(lane->next, now_);
+            if (now_ >= lane->controller->stableUntil())
+                lane->next = std::min(lane->next, now_);
     }
 }
 

@@ -445,6 +445,42 @@ TEST_F(ControllerTest, ThrottledActIsDelayed)
     EXPECT_GT(completions_.back().second, usToTick(10.0));
 }
 
+TEST_F(ControllerTest, StableUntilMarksWhatAPassCannotForesee)
+{
+    // An idle pass foresees the next REF, but not the drain before it;
+    // a pass inside the drain foresees nothing past the REF.
+    build();
+    const Tick drain = timing_.tREFI - 2 * timing_.tRC;
+    EXPECT_EQ(ctrl_->service(0), timing_.tREFI);
+    EXPECT_EQ(ctrl_->stableUntil(), drain);
+    EXPECT_EQ(ctrl_->service(drain), timing_.tREFI);
+    EXPECT_EQ(ctrl_->stableUntil(), timing_.tREFI);
+
+    // A waiting throttled ACT may be released early (the tracker's
+    // filters rotate), so the pass that saw it is stable nowhere.
+    trackers::BlockHammerParams bp;
+    bp.cbfSize = 256;
+    bp.nbl = 8;
+    bp.flipTh = 100;
+    bp.tCbf = timing_.tREFW;
+    bp.tRc = timing_.tRC;
+    build(std::make_unique<trackers::BlockHammer>(geom_.totalBanks(),
+                                                  bp));
+    Tick now = 0;
+    Tick pass = 0;
+    for (int i = 0; i < 40 && ctrl_->stats().throttleStalls == 0; ++i) {
+        ASSERT_TRUE(
+            ctrl_->enqueue(makeReq(3, 100 + (i % 2) * 50, 0), now));
+        while (!ctrl_->idle() && ctrl_->stats().throttleStalls == 0) {
+            pass = now;
+            now = ctrl_->service(now);
+        }
+    }
+    ASSERT_GT(ctrl_->stats().throttleStalls, 0u);
+    ASSERT_FALSE(ctrl_->idle());
+    EXPECT_EQ(ctrl_->stableUntil(), pass);
+}
+
 TEST_F(ControllerTest, BlissBlacklistsStreakyCore)
 {
     // Position of core 1's lone conflict request among 12 streak-y
@@ -471,6 +507,28 @@ TEST_F(ControllerTest, BlissBlacklistsStreakyCore)
     core1_position(true);
     // BLISS moves the victim core's request forward.
     EXPECT_LT(positions_[1], positions_[0]);
+}
+
+TEST_F(ControllerTest, BlissKeepsCoresApartPast64)
+{
+    // 65 cores: core 64 shares core 0's low six id bits, and must not
+    // inherit core 0's blacklist verdict.
+    ControllerParams params;
+    params.blissStreak = 2;
+    build(nullptr, params);
+    for (std::uint32_t c = 0; c < 4; ++c)
+        ASSERT_TRUE(ctrl_->enqueue(makeReq(3, 100, c, false, 0), 0));
+    drain();
+    ASSERT_EQ(completions_.size(), 4u);  // Core 0 is now blacklisted.
+
+    // Two row misses to idle banks, core 0's queued (and scanned)
+    // first: only a blacklisted core 0 lets core 64 go ahead of it.
+    ASSERT_TRUE(ctrl_->enqueue(makeReq(5, 200, 0, false, 0), 0));
+    ASSERT_TRUE(ctrl_->enqueue(makeReq(7, 300, 0, false, 64), 0));
+    drain();
+    ASSERT_EQ(completions_.size(), 6u);
+    EXPECT_EQ(completions_[4].first.coreId, 64u);
+    EXPECT_EQ(completions_[5].first.coreId, 0u);
 }
 
 TEST_F(ControllerTest, PerBankRefreshRotatesBanks)
