@@ -1,6 +1,7 @@
 #include "blockhammer.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "analysis/area_model.hh"
 #include "common/logging.hh"
@@ -223,6 +224,15 @@ const registry::Registrar<registry::SchemeTraits> kRegisterBlockHammer{{
         const auto knobs = registry::SchemeKnobs::fromParams(params);
         const auto [cbf_size, nbl] =
             analysis::AreaModel::blockHammerConfig(knobs.flipTh);
+        // The throttle delay spreads the flip budget above NBL over a
+        // CBF lifetime, so there must be one.
+        if (knobs.flipTh <= nbl) {
+            throw registry::SpecError(
+                "BlockHammer infeasible at flip=" +
+                std::to_string(knobs.flipTh) + ": its blacklist "
+                "threshold NBL=" + std::to_string(nbl) +
+                " must stay below it");
+        }
         BlockHammerParams bparams;
         bparams.cbfSize = cbf_size;
         bparams.nbl = nbl;

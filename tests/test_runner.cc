@@ -637,6 +637,37 @@ TEST(SweepRunner, RejectedConfigurationFailsItsJobOnly)
     EXPECT_NE(json.find("\"error\""), std::string::npos);
 }
 
+TEST(SweepRunner, BlockHammerBelowItsBlacklistFailsItsJobOnly)
+{
+    // At flip=400 BlockHammer's blacklist threshold (NBL=490) is not
+    // below FlipTH: its job fails with the reason, and PARA still runs.
+    SweepSpec spec;
+    spec.schemes = {"blockhammer", "para"};
+    spec.flipThs = {400};
+    spec.cores = 1;
+    spec.instrPerCore = 500;
+
+    RunnerOptions options;
+    options.jobs = 2;
+    options.progress = false;
+    const SweepResult result = SweepRunner(options).run(spec);
+    ASSERT_EQ(result.results.size(), 2u);
+    EXPECT_EQ(result.failedCount(), 1u);
+
+    const JobResult *bh = result.find("blockhammer", 400, "mix-high");
+    ASSERT_NE(bh, nullptr);
+    EXPECT_TRUE(bh->failed());
+    EXPECT_NE(bh->error.find("infeasible at flip=400"), std::string::npos)
+        << bh->error;
+
+    const JobResult *para = result.find("para", 400, "mix-high");
+    ASSERT_NE(para, nullptr);
+    EXPECT_FALSE(para->failed());
+    EXPECT_GT(para->metrics.aggIpc, 0.0);
+    EXPECT_NE(TableSink().render(result).find("FAILED"),
+              std::string::npos);
+}
+
 TEST(SweepResult, FindAndBaselineLookups)
 {
     const SweepSpec spec = bigStubSpec();
