@@ -64,6 +64,7 @@ Controller::enqueue(const Request &req, Tick now)
                        "request for channel %u enqueued on the "
                        "channel-%u controller",
                        req.channel, channel_);
+    MITHRIL_ASSERT(req.bank - firstBank_ < banks_.size());
     if (queue_.size() >= params_.queueCapacity)
         return false;
     Request stored = req;
@@ -88,17 +89,6 @@ Controller::noteServed(std::uint32_t core, Tick t)
         bliss_.lastCore = core;
         bliss_.streak = 1;
     }
-}
-
-Tick
-Controller::earliestAct(BankId bank, Tick t0)
-{
-    ActMemo &memo = actMemo_[bank - firstBank_];
-    if (memo.pass != pass_) {
-        memo.pass = pass_;
-        memo.tick = device_.earliestAct(bank, t0);
-    }
-    return memo.tick;
 }
 
 void
@@ -261,24 +251,41 @@ Controller::choose(Tick t0)
     }
 
     // Priority 3: demand requests, BLISS + FR-FCFS + minimalist-open.
+    // The scan reads pass-invariant state through locals: the tracker
+    // probe is a virtual call, after which members would be reloaded.
+    // enqueue() checked that every queued bank is one of ours.
     int best_class = 4;
     std::uint64_t best_seq = ~0ull;
     bool throttling = false;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-        Request &req = queue_[i];
-        BankCtl &ctl = bankCtl(req.bank);
-        if (owedBanks_ != 0 && owes(ctl))
+    const bool any_owed = owedBanks_ != 0;
+    const std::uint32_t max_hits = params_.maxRowHits;
+    const std::uint64_t pass = pass_;
+    const dram::Bank *const dev_banks = &device_.bank(firstBank_);
+    const BankCtl *const ctls = banks_.data();
+    const RankPass *const ranks = rankPass_.data();
+    ActMemo *const act_memo = actMemo_.data();
+    const Tick *const bl_until = bliss_.blacklistUntil.data();
+    const std::size_t bl_cores = bliss_.blacklistUntil.size();
+    Request *const queue = queue_.data();
+    const std::size_t depth = queue_.size();
+    for (std::size_t i = 0; i < depth; ++i) {
+        Request &req = queue[i];
+        const std::uint32_t local = req.bank - firstBank_;
+        const BankCtl &ctl = ctls[local];
+        if (any_owed && owes(ctl))
             continue;  // Bank fenced for protection work.
-        const RankPass &rp = rankPass_[req.rank];
-        if (rp.draining && (rp.fenced == kAllBanks || rp.fenced == req.bank))
+        const RankPass &rp = ranks[req.rank];
+        if (rp.draining &&
+            (rp.fenced == kAllBanks || rp.fenced == req.bank))
             continue;  // Bank/rank draining for REF.
 
-        const auto &bank = device_.bank(req.bank);
+        const dram::Bank &bank = dev_banks[local];
         const bool open_hit = bank.isOpen() &&
                               bank.openRow() == req.row &&
-                              ctl.rowHitStreak < params_.maxRowHits;
-        const int cls = (blacklisted(req.coreId, t0) ? 2 : 0) +
-                        (open_hit ? 0 : 1);
+                              ctl.rowHitStreak < max_hits;
+        const bool blacklisted =
+            req.coreId < bl_cores && bl_until[req.coreId] > t0;
+        const int cls = (blacklisted ? 2 : 0) + (open_hit ? 0 : 1);
         if (cls > best_class ||
             (cls == best_class && req.seq >= best_seq)) {
             continue;  // A ready candidate already beats this one.
@@ -296,7 +303,13 @@ Controller::choose(Tick t0)
             d.issue = bank.earliestPre(t0);
         } else {
             d.kind = Decision::Kind::Act;
-            Tick t = earliestAct(req.bank, t0);
+            // Device::earliestAct, once per bank a pass.
+            ActMemo &memo = act_memo[local];
+            if (memo.pass != pass) {
+                memo.pass = pass;
+                memo.tick = device_.earliestAct(req.bank, t0);
+            }
+            Tick t = memo.tick;
             if (tracker) {
                 const Tick throttled =
                     tracker->throttleAct(req.bank, req.row, t);

@@ -231,16 +231,7 @@ class Controller
     /** Commit a decision; returns the tick the bus frees. */
     Tick execute(const Decision &d);
 
-    bool
-    blacklisted(std::uint32_t core, Tick t) const
-    {
-        return core < bliss_.blacklistUntil.size() &&
-               bliss_.blacklistUntil[core] > t;
-    }
     void noteServed(std::uint32_t core, Tick t);
-
-    /** Device::earliestAct(bank, t0), computed once per bank a pass. */
-    Tick earliestAct(BankId bank, Tick t0);
 
     /** True while a bank owes an RFM or ARR: it is fenced from demand
      *  traffic and counted in owedBanks_. */
