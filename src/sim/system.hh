@@ -177,7 +177,8 @@ class System
         std::unique_ptr<mc::Controller> controller;
         std::vector<Completion> completions;
         std::vector<Act> acts;
-        /** Next tick the lane's controller needs service. On its own
+        /** Next tick the lane's controller needs service; access()
+         *  lowers it when the lane receives a request. On its own
          *  cache line: the hot word written concurrently per lane. */
         alignas(64) Tick next = 0;
         Tick lastServiced = 0;
