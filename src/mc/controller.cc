@@ -215,12 +215,14 @@ Controller::choose(Tick t0)
     // Priority 2: RFM-required banks and pending ARR work.
     Decision best;
     auto *tracker = device_.tracker();
+    std::uint32_t owed_seen = 0;
     for (std::uint32_t i = 0; owedBanks_ != 0 && i < banks_per_channel;
          ++i) {
         const BankId b = firstBank_ + i;
         BankCtl &ctl = banks_[i];
         if (!owes(ctl))
             continue;
+        ++owed_seen;
         const auto &bank = device_.bank(b);
         Decision d;
         d.bank = b;
@@ -242,6 +244,8 @@ Controller::choose(Tick t0)
         if (d.issue < best.issue)
             best = d;
     }
+    // The fences of Priority 3 trust the incremental count.
+    MITHRIL_ASSERT(owedBanks_ == 0 || owed_seen == owedBanks_);
     if (best.kind != Decision::Kind::None) {
         if (best.issue <= t0)
             return best;

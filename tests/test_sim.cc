@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <string>
 
+#include "common/random.hh"
 #include "core/mithril.hh"
+#include "registry/scheme_registry.hh"
 #include "sim/act_harness.hh"
 #include "sim/event_queue.hh"
 #include "sim/experiment.hh"
@@ -253,6 +255,78 @@ TEST(SystemIntegration, PerBankRefreshRunIsPinned)
               "prev=0 stalls=0 maxd=24 flips=0 "
               "lat=307.15107866991093 p95=1020 bytes=5386.5 "
               "telemetry=0");
+}
+
+/** Uncached random reads confined to one channel. */
+class OneChannelReads : public workload::TraceGenerator
+{
+  public:
+    OneChannelReads(const mc::AddressMap &map, std::uint32_t channel)
+        : map_(map), channel_(channel)
+    {
+    }
+    std::optional<workload::TraceRecord>
+    next() override
+    {
+        workload::TraceRecord rec;
+        rec.gap = 1 + rng_.nextBounded(40);
+        rec.uncached = true;
+        rec.addr = map_.compose(channel_, 0,
+                                static_cast<std::uint32_t>(
+                                    rng_.nextBounded(32)),
+                                static_cast<RowId>(rng_.nextBounded(4096)),
+                                static_cast<std::uint32_t>(
+                                    rng_.nextBounded(128)));
+        return rec;
+    }
+    std::string name() const override { return "one-channel"; }
+
+  private:
+    const mc::AddressMap &map_;
+    std::uint32_t channel_;
+    Rng rng_{5};
+};
+
+TEST(SystemIntegration, ThrottledLaneIsServicedAtEveryEvent)
+{
+    // The attacker's throttled ACTs wait alone on channel 0 while a
+    // benign core keeps channel 1 (and the event queue) busy. A short
+    // tREFW gives BlockHammer a 200us CBF lifetime, so its filters
+    // rotate mid-run, and a rotation lifts a delay before its tick:
+    // the idle lane must still be serviced at the next event. The
+    // pinned values are also what servicing every lane after every
+    // event gives.
+    SystemConfig cfg;
+    cfg.flipTh = 1500;
+    cfg.timing.tREFW = usToTick(200.0);
+    ParamSet params;
+    params.set("flip", "1500");
+    const registry::SchemeContext ctx{cfg.timing, cfg.geometry};
+    System system(cfg, [&] {
+        return registry::makeScheme("blockhammer", params, ctx);
+    });
+    mc::AddressMap map(cfg.geometry);
+    workload::AttackTarget target;
+    target.map = &map;
+    target.bank = 7;
+    cpu::CoreParams attacker;
+    attacker.instrBudget = ~0ull;
+    attacker.excluded = true;
+    system.addCore(attacker,
+                   std::make_unique<workload::DoubleSidedAttack>(target));
+    cpu::CoreParams benign;
+    benign.instrBudget = 800000;
+    system.addCore(benign, std::make_unique<OneChannelReads>(map, 1));
+    system.run();
+
+    const mc::ControllerStats &ch0 = system.controller(0).stats();
+    const mc::ControllerStats &ch1 = system.controller(1).stats();
+    EXPECT_EQ(ch0.activates, 2340u);
+    EXPECT_EQ(ch0.reads, 9193u);
+    EXPECT_EQ(ch0.throttleStalls, 5097u);
+    EXPECT_EQ(ch1.activates, 37341u);
+    EXPECT_EQ(ch1.reads, 37171u);
+    EXPECT_EQ(system.now(), 184312432);
 }
 
 TEST(SystemIntegration, UnprotectedLongAttackFlipsBits)
