@@ -140,11 +140,10 @@ Controller::choose(Tick t0)
         geom.ranksPerChannel * geom.banksPerRank;
     ++pass_;
 
-    // Commands that cannot issue yet are kept only as wake-up hints so
+    // Commands that cannot issue yet only set the wake-up hint, so
     // that a stalled high-priority command never blocks ready work on
     // other banks.
-    Decision future;
-    future.kind = Decision::Kind::None;
+    Tick wake = kTickMax;
 
     // One sweep over the owned ranks fixes each rank's refresh drain
     // for the pass, notes when the next drain starts or refresh falls
@@ -208,8 +207,7 @@ Controller::choose(Tick t0)
         }
         if (d.issue <= t0)
             return d;
-        if (d.issue < future.issue)
-            future = d;
+        wake = std::min(wake, d.issue);
     }
 
     // Priority 2: RFM-required banks and pending ARR work.
@@ -249,8 +247,7 @@ Controller::choose(Tick t0)
     if (best.kind != Decision::Kind::None) {
         if (best.issue <= t0)
             return best;
-        if (best.issue < future.issue)
-            future = best;
+        wake = std::min(wake, best.issue);
         best = Decision{};
     }
 
@@ -295,18 +292,16 @@ Controller::choose(Tick t0)
             continue;  // A ready candidate already beats this one.
         }
 
-        Decision d;
-        d.bank = req.bank;
-        d.reqIndex = i;
+        Decision::Kind kind;
+        Tick issue;
         if (open_hit) {
-            d.kind = req.isWrite ? Decision::Kind::Wr
-                                 : Decision::Kind::Rd;
-            d.issue = bank.earliestCol(t0);
+            kind = req.isWrite ? Decision::Kind::Wr : Decision::Kind::Rd;
+            issue = bank.earliestCol(t0);
         } else if (bank.isOpen()) {
-            d.kind = Decision::Kind::Pre;
-            d.issue = bank.earliestPre(t0);
+            kind = Decision::Kind::Pre;
+            issue = bank.earliestPre(t0);
         } else {
-            d.kind = Decision::Kind::Act;
+            kind = Decision::Kind::Act;
             // Device::earliestAct, once per bank a pass.
             ActMemo &memo = act_memo[local];
             if (memo.pass != pass) {
@@ -334,14 +329,17 @@ Controller::choose(Tick t0)
                     t = throttled;
                 }
             }
-            d.issue = t;
+            issue = t;
         }
-        if (d.issue <= t0) {
-            best = d;
+        if (issue <= t0) {
+            best.kind = kind;
+            best.issue = issue;
+            best.bank = req.bank;
+            best.reqIndex = i;
             best_class = cls;
             best_seq = req.seq;
-        } else if (d.issue < future.issue) {
-            future = d;
+        } else {
+            wake = std::min(wake, issue);
         }
     }
     if (best.kind != Decision::Kind::None)
@@ -351,21 +349,16 @@ Controller::choose(Tick t0)
     // live.
     if (throttling)
         stableUntil_ = t0;
-    if (future.issue != kTickMax) {
-        // Nothing is ready; report the earliest future command as the
-        // wake-up hint without executing it.
-        Decision d;
-        d.kind = Decision::Kind::None;
-        d.issue = future.issue;
-        return d;
+    // Nothing is ready: report the earliest future command as the
+    // wake-up hint without executing it. Fully idle, the next
+    // auto-refresh still needs a wakeup.
+    Decision none;
+    none.issue = wake;
+    if (wake == kTickMax) {
+        for (std::uint32_t r = 0; r < geom.ranksPerChannel; ++r)
+            none.issue = std::min(none.issue, refreshDue_[r]);
     }
-
-    // Fully idle; the next auto-refresh still needs a wakeup.
-    Decision d;
-    for (std::uint32_t r = 0; r < geom.ranksPerChannel; ++r)
-        d.issue = std::min(d.issue, refreshDue_[r]);
-    d.kind = Decision::Kind::None;
-    return d;
+    return none;
 }
 
 Tick
