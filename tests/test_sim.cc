@@ -226,9 +226,9 @@ TEST(SystemIntegration, BlockHammerThrottlesAttacker)
     const RunMetrics m = runExperiment(spec);
     EXPECT_GT(m.throttleStalls, 0u);
 
-    // The only System run that throttles: pin every simulated result
-    // so a scheduler change that claims exactness is checked on the
-    // throttle path too (no golden reaches it).
+    // No golden throttles: pin every simulated result so a scheduler
+    // change that claims exactness is checked on the throttle path
+    // too.
     EXPECT_EQ(render(m),
               "ipc=1.9910427279469045 energy=7638256 ticks=83776176 "
               "acts=6136 reads=18124 writes=6249 rfm=0 skip=0 arr=0 "
