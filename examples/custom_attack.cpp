@@ -30,7 +30,13 @@ using namespace mithril;
 namespace
 {
 
-/** Alternating-parity hammer over a sliding row window. */
+/**
+ * Alternating-parity hammer over a sliding row window. It makes no
+ * targetBank() declaration, so the sharded engine's attack source
+ * filters a full copy of its stream per shard; declaring target_'s
+ * bank (a promise that every record lands there and that the stream
+ * never ends) would let each shard build only its own generators.
+ */
 class CheckerboardAttack : public workload::TraceGenerator
 {
   public:
@@ -43,8 +49,6 @@ class CheckerboardAttack : public workload::TraceGenerator
     std::optional<workload::TraceRecord>
     next() override
     {
-        if (produced_ >= target_.limit)
-            return std::nullopt;
         // Sweep even rows of the window, then odd, so every victim
         // row sees aggressors on both sides once per two sweeps.
         const std::uint64_t phase = produced_ / window_;

@@ -10,42 +10,36 @@
 namespace mithril::workload
 {
 
-namespace
-{
-
 TraceRecord
-hammerRecord(const AttackTarget &t, RowId row)
+TargetedAttack::hammer(RowId row)
 {
-    MITHRIL_ASSERT(t.map != nullptr);
+    MITHRIL_ASSERT(target_.map != nullptr);
+    ++produced_;
     TraceRecord rec;
     rec.gap = 1;
     rec.uncached = true;
     rec.write = false;
-    rec.addr = t.map->compose(t.channel, t.rank, t.bank, row, 0);
+    rec.addr = target_.map->compose(target_.channel, target_.rank,
+                                    target_.bank, row, 0);
     return rec;
 }
 
-} // namespace
-
 DoubleSidedAttack::DoubleSidedAttack(const AttackTarget &target)
-    : target_(target)
+    : TargetedAttack(target)
 {
 }
 
 std::optional<TraceRecord>
 DoubleSidedAttack::next()
 {
-    if (produced_ >= target_.limit)
-        return std::nullopt;
     const RowId row =
         (produced_ % 2 == 0) ? target_.baseRow : target_.baseRow + 2;
-    ++produced_;
-    return hammerRecord(target_, row);
+    return hammer(row);
 }
 
 MultiSidedAttack::MultiSidedAttack(const AttackTarget &target,
                                    std::uint32_t victims)
-    : target_(target), aggressors_(victims + 1)
+    : TargetedAttack(target), aggressors_(victims + 1)
 {
     MITHRIL_ASSERT(victims >= 1);
 }
@@ -53,19 +47,16 @@ MultiSidedAttack::MultiSidedAttack(const AttackTarget &target,
 std::optional<TraceRecord>
 MultiSidedAttack::next()
 {
-    if (produced_ >= target_.limit)
-        return std::nullopt;
     // Aggressors at baseRow, baseRow+2, ... — every odd row between
     // two aggressors is a victim hammered from both sides.
     const std::uint32_t idx =
         static_cast<std::uint32_t>(produced_ % aggressors_);
-    ++produced_;
-    return hammerRecord(target_, target_.baseRow + 2 * idx);
+    return hammer(target_.baseRow + 2 * idx);
 }
 
 RfmOptimalAttack::RfmOptimalAttack(const AttackTarget &target,
                                    std::uint32_t distinct_rows)
-    : target_(target), distinctRows_(distinct_rows)
+    : TargetedAttack(target), distinctRows_(distinct_rows)
 {
     MITHRIL_ASSERT(distinct_rows >= 1);
 }
@@ -73,18 +64,15 @@ RfmOptimalAttack::RfmOptimalAttack(const AttackTarget &target,
 std::optional<TraceRecord>
 RfmOptimalAttack::next()
 {
-    if (produced_ >= target_.limit)
-        return std::nullopt;
     const std::uint32_t idx =
         static_cast<std::uint32_t>(produced_ % distinctRows_);
-    ++produced_;
-    return hammerRecord(target_, target_.baseRow + 2 * idx);
+    return hammer(target_.baseRow + 2 * idx);
 }
 
 ConcentrationAttack::ConcentrationAttack(const AttackTarget &target,
                                          std::uint32_t threshold,
                                          std::uint32_t rows)
-    : target_(target), threshold_(threshold), rows_(rows)
+    : TargetedAttack(target), threshold_(threshold), rows_(rows)
 {
     MITHRIL_ASSERT(threshold >= 1);
     MITHRIL_ASSERT(rows >= 2);
@@ -101,8 +89,6 @@ ConcentrationAttack::finalVictim() const
 std::optional<TraceRecord>
 ConcentrationAttack::next()
 {
-    if (produced_ >= target_.limit)
-        return std::nullopt;
     RowId row;
     if (produced_ < phase1Records_) {
         // Round-robin so all Q rows cross the threshold back to back.
@@ -113,13 +99,11 @@ ConcentrationAttack::next()
         const bool even = (produced_ % 2) == 0;
         row = target_.baseRow + 2 * (rows_ - 1) - (even ? 2 : 0);
     }
-    ++produced_;
-    return hammerRecord(target_, row);
+    return hammer(row);
 }
 
-ProfiledAliasAttack::ProfiledAliasAttack(std::vector<Addr> targets,
-                                         std::uint64_t limit)
-    : targets_(std::move(targets)), limit_(limit)
+ProfiledAliasAttack::ProfiledAliasAttack(std::vector<Addr> targets)
+    : targets_(std::move(targets))
 {
     MITHRIL_ASSERT(targets_.size() >= 2);
 }
@@ -127,8 +111,6 @@ ProfiledAliasAttack::ProfiledAliasAttack(std::vector<Addr> targets,
 std::optional<TraceRecord>
 ProfiledAliasAttack::next()
 {
-    if (produced_ >= limit_)
-        return std::nullopt;
     TraceRecord rec;
     rec.gap = 1;
     rec.uncached = true;
@@ -141,7 +123,7 @@ ProfiledAliasAttack::next()
 CbfPollutionAttack::CbfPollutionAttack(const AttackTarget &target,
                                        std::uint32_t rows,
                                        std::uint32_t bursts)
-    : target_(target), rows_(rows), bursts_(bursts)
+    : TargetedAttack(target), rows_(rows), bursts_(bursts)
 {
     MITHRIL_ASSERT(rows >= 2);
     MITHRIL_ASSERT(bursts >= 1);
@@ -150,8 +132,6 @@ CbfPollutionAttack::CbfPollutionAttack(const AttackTarget &target,
 std::optional<TraceRecord>
 CbfPollutionAttack::next()
 {
-    if (produced_ >= target_.limit)
-        return std::nullopt;
     // Interleave two rows inside each burst so every request forces a
     // fresh activation, sweeping the whole pollution set repeatedly.
     const std::uint64_t pair_step = produced_ / (2 * bursts_);
@@ -159,8 +139,7 @@ CbfPollutionAttack::next()
         static_cast<std::uint32_t>(pair_step % (rows_ / 2));
     const RowId row =
         target_.baseRow + 2 * (2 * pair + (produced_ % 2));
-    ++produced_;
-    return hammerRecord(target_, row);
+    return hammer(row);
 }
 
 // ------------------------------------------------------ registration

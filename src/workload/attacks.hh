@@ -43,11 +43,36 @@ struct AttackTarget
     std::uint32_t rank = 0;
     std::uint32_t bank = 0;    //!< Bank within the rank.
     RowId baseRow = 0x2000;
-    std::uint64_t limit = ~0ull;  //!< Max records.
+};
+
+/**
+ * Base of the generators that hammer rows of one AttackTarget bank
+ * forever: declares that bank (TraceGenerator::targetBank) and
+ * composes each record through the target's map.
+ */
+class TargetedAttack : public TraceGenerator
+{
+  public:
+    std::optional<BankCoord> targetBank() const override
+    {
+        return BankCoord{target_.channel, target_.rank, target_.bank};
+    }
+
+  protected:
+    explicit TargetedAttack(const AttackTarget &target)
+        : target_(target)
+    {
+    }
+
+    /** The next record: one ACT of `row` in the target bank. */
+    TraceRecord hammer(RowId row);
+
+    AttackTarget target_;
+    std::uint64_t produced_ = 0;  //!< Records emitted so far.
 };
 
 /** Classic double-sided hammer around baseRow+1. */
-class DoubleSidedAttack : public TraceGenerator
+class DoubleSidedAttack : public TargetedAttack
 {
   public:
     explicit DoubleSidedAttack(const AttackTarget &target);
@@ -57,14 +82,10 @@ class DoubleSidedAttack : public TraceGenerator
 
     /** The victim row between the two aggressors. */
     RowId victimRow() const { return target_.baseRow + 1; }
-
-  private:
-    AttackTarget target_;
-    std::uint64_t produced_ = 0;
 };
 
 /** TRRespass-style multi-sided hammer. */
-class MultiSidedAttack : public TraceGenerator
+class MultiSidedAttack : public TargetedAttack
 {
   public:
     /**
@@ -78,13 +99,11 @@ class MultiSidedAttack : public TraceGenerator
     std::string name() const override { return "multi-sided"; }
 
   private:
-    AttackTarget target_;
     std::uint32_t aggressors_;
-    std::uint64_t produced_ = 0;
 };
 
 /** One ACT per row over a rotating distinct-row set. */
-class RfmOptimalAttack : public TraceGenerator
+class RfmOptimalAttack : public TargetedAttack
 {
   public:
     RfmOptimalAttack(const AttackTarget &target,
@@ -94,13 +113,11 @@ class RfmOptimalAttack : public TraceGenerator
     std::string name() const override { return "rfm-optimal"; }
 
   private:
-    AttackTarget target_;
     std::uint32_t distinctRows_;
-    std::uint64_t produced_ = 0;
 };
 
 /** Figure 2 concentration attack against buffered-RFM schemes. */
-class ConcentrationAttack : public TraceGenerator
+class ConcentrationAttack : public TargetedAttack
 {
   public:
     /**
@@ -118,10 +135,8 @@ class ConcentrationAttack : public TraceGenerator
     RowId finalVictim() const;
 
   private:
-    AttackTarget target_;
     std::uint32_t threshold_;
     std::uint32_t rows_;
-    std::uint64_t produced_ = 0;
     std::uint64_t phase1Records_;
 };
 
@@ -138,10 +153,8 @@ class ProfiledAliasAttack : public TraceGenerator
     /**
      * @param targets Row-granular physical addresses whose CBF slots
      *        the attack inflates (uncached round-robin).
-     * @param limit   Max records.
      */
-    explicit ProfiledAliasAttack(std::vector<Addr> targets,
-                                 std::uint64_t limit = ~0ull);
+    explicit ProfiledAliasAttack(std::vector<Addr> targets);
 
     std::optional<TraceRecord> next() override;
     std::string name() const override { return "profiled-alias"; }
@@ -150,12 +163,11 @@ class ProfiledAliasAttack : public TraceGenerator
 
   private:
     std::vector<Addr> targets_;
-    std::uint64_t limit_;
     std::uint64_t produced_ = 0;
 };
 
 /** BlockHammer CBF-pollution performance adversary. */
-class CbfPollutionAttack : public TraceGenerator
+class CbfPollutionAttack : public TargetedAttack
 {
   public:
     /**
@@ -170,10 +182,8 @@ class CbfPollutionAttack : public TraceGenerator
     std::string name() const override { return "cbf-pollution"; }
 
   private:
-    AttackTarget target_;
     std::uint32_t rows_;
     std::uint32_t bursts_;
-    std::uint64_t produced_ = 0;
 };
 
 } // namespace mithril::workload

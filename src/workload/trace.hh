@@ -32,6 +32,14 @@ struct TraceRecord
     bool uncached = false;   //!< Bypass the LLC (attack traffic).
 };
 
+/** A DRAM bank by its coordinates. */
+struct BankCoord
+{
+    std::uint32_t channel = 0;
+    std::uint32_t rank = 0;
+    std::uint32_t bank = 0;  //!< Bank within the rank.
+};
+
 /** Pull-based trace source. */
 class TraceGenerator
 {
@@ -43,6 +51,19 @@ class TraceGenerator
 
     /** Human-readable workload name. */
     virtual std::string name() const = 0;
+
+    /**
+     * The one bank every record of this generator composes to, or
+     * nullopt for "no declaration" (the default). A generator that
+     * declares a bank also promises never to end. The engine's
+     * attack source uses the declaration to build each shard's
+     * slice from only the generators aimed inside the shard, and
+     * checks it against every decoded record.
+     */
+    virtual std::optional<BankCoord> targetBank() const
+    {
+        return std::nullopt;
+    }
 };
 
 } // namespace mithril::workload
