@@ -103,7 +103,8 @@ class ActSource
      * act-trace reader seeking through its per-bank block index).
      * The sharded engine asks every stream for one and falls back to
      * BankFilterSource on nullptr (the default). Slicing must not
-     * disturb this source — implementations open fresh state.
+     * disturb this source — implementations open fresh state — and
+     * a slice may outlive the source it was cut from.
      */
     virtual std::unique_ptr<ActSource>
     shardSlice(BankId lo, BankId hi, std::uint64_t budget)

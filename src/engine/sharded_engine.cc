@@ -125,35 +125,37 @@ ShardedActStreamEngine::shardFor(BankId bank) const
     return 0;
 }
 
+std::vector<std::unique_ptr<ActSource>>
+ShardedActStreamEngine::shardSources(const StreamFactory &make_stream,
+                                     std::uint64_t budget) const
+{
+    // A stream that slices itself natively (an act-trace reader
+    // seeking through its bank index, an attack source building only
+    // the shard's generators) skips the filter-and-discard scan, and
+    // every shard slices off the SAME probe instance. Any other
+    // shard filters a pristine copy: the probe itself while it
+    // lasts, then fresh ones.
+    std::vector<std::unique_ptr<ActSource>> sources;
+    sources.reserve(shards_.size());
+    std::unique_ptr<ActSource> probe = make_stream();
+    for (const Shard &shard : shards_) {
+        std::unique_ptr<ActSource> slice;
+        if (probe)
+            slice = probe->shardSlice(shard.lo, shard.hi, budget);
+        if (!slice)
+            slice = std::make_unique<BankFilterSource>(
+                probe ? std::move(probe) : make_stream(), shard.lo,
+                shard.hi, budget);
+        sources.push_back(std::move(slice));
+    }
+    return sources;
+}
+
 std::uint64_t
 ShardedActStreamEngine::run(const StreamFactory &make_stream,
                             std::uint64_t max_acts)
 {
-    std::vector<std::unique_ptr<ActSource>> sources;
-    sources.reserve(shards_.size());
-    // A stream that can slice itself natively (an act-trace reader
-    // seeking through its bank index) skips the filter-and-discard
-    // scan — and every shard slices off the SAME parsed instance, so
-    // the trace header/index are parsed once per run, not per shard.
-    // Both paths deliver the identical bounded per-bank
-    // subsequences.
-    auto probe = make_stream();
-    if (auto native = probe->shardSlice(shards_[0].lo, shards_[0].hi,
-                                        max_acts)) {
-        sources.push_back(std::move(native));
-        for (std::size_t s = 1; s < shards_.size(); ++s) {
-            sources.push_back(probe->shardSlice(
-                shards_[s].lo, shards_[s].hi, max_acts));
-            MITHRIL_ASSERT(sources.back() != nullptr);
-        }
-    } else {
-        for (const Shard &shard : shards_) {
-            if (!probe)
-                probe = make_stream();
-            sources.push_back(std::make_unique<BankFilterSource>(
-                std::move(probe), shard.lo, shard.hi, max_acts));
-        }
-    }
+    auto sources = shardSources(make_stream, max_acts);
     return runShards(sources);
 }
 
@@ -177,33 +179,41 @@ ShardedActStreamEngine::runShards(
     // false sharing between workers, and the merged result below is
     // deterministic regardless of scheduling or completion order.
     const bool phases = config_.telemetry.phases;
-    for (ShardSlot &slot : slots_)
+    for (ShardSlot &slot : slots_) {
         slot.done = 0;
+        slot.lapSec = 0.0;
+    }
     auto body = [&](std::size_t s) {
-        MITHRIL_FAILPOINT("engine.shard-dispatch");
         telemetry::PhaseTimer timer;
+        MITHRIL_FAILPOINT("engine.shard-dispatch");
         slots_[s].done = shards_[s].engine->run(*sources[s]);
-        if (phases)
-            slots_[s].wallSec += timer.lap();
+        if (phases) {
+            slots_[s].lapSec = timer.lap();
+            slots_[s].wallSec += slots_[s].lapSec;
+        }
     };
 
     telemetry::PhaseTimer total_timer;
     runner::ThreadPool *pool =
         config_.pool ? config_.pool : runner::ThreadPool::current();
-    if (pool && shards_.size() > 1) {
+    const bool parallel = pool && shards_.size() > 1;
+    if (parallel) {
         pool->parallelFor(shards_.size(), body);
     } else {
         for (std::size_t s = 0; s < shards_.size(); ++s)
             body(s);
     }
     if (phases) {
-        // Join overhead: the wall the caller waited beyond the
-        // slowest shard (scheduling + merge barrier).
+        // Join overhead: the wall the caller waited beyond the shard
+        // bodies themselves (scheduling + merge barrier). Parallel
+        // shards overlap, so that is the wall beyond the slowest;
+        // inline shards run back to back, beyond their sum.
         const double wall = total_timer.lap();
-        double slowest = 0.0;
+        double shard_wall = 0.0;
         for (const ShardSlot &slot : slots_)
-            slowest = std::max(slowest, slot.wallSec);
-        joinSec_ += std::max(0.0, wall - slowest);
+            shard_wall = parallel ? std::max(shard_wall, slot.lapSec)
+                                  : shard_wall + slot.lapSec;
+        joinSec_ += std::max(0.0, wall - shard_wall);
     }
 
     std::uint64_t total = 0;

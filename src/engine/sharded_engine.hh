@@ -18,8 +18,8 @@
  *    bank's draw sequence depends only on (seed, bank).
  *  - Each shard therefore only needs the *per-bank subsequences* of
  *    the global activation stream for its banks, which is exactly
- *    what a `BankFilterSource` slice (or a caller-provided native
- *    slice) delivers. Cross-bank interleaving is irrelevant.
+ *    what a `BankFilterSource` slice or a native `shardSlice()`
+ *    of the stream delivers. Cross-bank interleaving is irrelevant.
  *  - Each shard runs its own tracker instance (built by the same
  *    factory, observing a disjoint bank set) and its own oracle; the
  *    join reduces counters by sum, high-water marks by max, and the
@@ -117,8 +117,9 @@ class ShardedActStreamEngine
     using TrackerFactory =
         std::function<std::unique_ptr<trackers::RhProtection>()>;
 
-    /** Builds one full-stream instance (wrapped in BankFilterSource
-     *  per shard). Called once per shard, serially, in shard order. */
+    /** Builds one full-stream instance: the probe shardSources()
+     *  slices, plus one fresh copy per further shard it must filter.
+     *  Called serially, in shard order. */
     using StreamFactory = std::function<std::unique_ptr<ActSource>()>;
 
     /** Builds one shard's native slice of the stream: only records of
@@ -132,14 +133,27 @@ class ShardedActStreamEngine
 
     /**
      * Drain the first `max_acts` records of the stream through the
-     * shards and merge on join; returns total ACTs performed. Each
-     * shard filters its own fresh copy of the stream, so the factory
-     * must produce identical streams on every call (all registry
-     * sources and generators do — they are deterministic in their
-     * seed).
+     * shards and merge on join; returns total ACTs performed. The
+     * shards take shardSources(): native slices where the stream
+     * offers them, else each shard filters its own fresh copy, so
+     * the factory must produce identical streams on every call (all
+     * registry sources and generators do — they are deterministic
+     * in their seed).
      */
     std::uint64_t run(const StreamFactory &make_stream,
                       std::uint64_t max_acts = ~0ull);
+
+    /**
+     * One source per shard, in shard order, over the first `budget`
+     * records of the stream: native slices of one probe instance
+     * where the stream can slice itself (ActSource::shardSlice),
+     * else a BankFilterSource over a fresh copy. The one place the
+     * engine chooses between the two; both deliver the identical
+     * bounded per-bank subsequences.
+     */
+    std::vector<std::unique_ptr<ActSource>>
+    shardSources(const StreamFactory &make_stream,
+                 std::uint64_t budget) const;
 
     /**
      * As run(), but with caller-provided native slices (no filtering
@@ -259,7 +273,8 @@ class ShardedActStreamEngine
     bool shardSlotsCacheAligned() const;
 
     /** Wall seconds of join overhead: total runShards wall minus the
-     *  slowest shard (phase profiling only). */
+     *  slowest shard when the shards ran in parallel, minus their sum
+     *  when they ran inline (phase profiling only). */
     double joinSec() const { return joinSec_; }
 
   private:
@@ -280,6 +295,7 @@ class ShardedActStreamEngine
     {
         std::uint64_t done = 0;
         double wallSec = 0.0;
+        double lapSec = 0.0;  //!< This runShards() call's share.
     };
     static_assert(sizeof(ShardSlot) == 64,
                   "ShardSlot must fill exactly one cache line");

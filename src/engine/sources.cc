@@ -49,17 +49,43 @@ TraceActSource::fill(ActBatch &batch, std::size_t limit)
 // ------------------------------------------------- MultiBankSource
 
 MultiBankSource::MultiBankSource(std::string name,
-                                 const dram::Geometry &geometry)
-    : name_(std::move(name)), map_(geometry)
+                                 const dram::Geometry &geometry,
+                                 std::uint32_t generators,
+                                 GeneratorMaker make)
+    : MultiBankSource(std::move(name), geometry, generators,
+                      std::move(make), 0, geometry.totalBanks(),
+                      ~std::uint64_t{0})
 {
 }
 
-void
-MultiBankSource::addGenerator(
-    std::unique_ptr<workload::TraceGenerator> gen)
+MultiBankSource::MultiBankSource(std::string name,
+                                 const dram::Geometry &geometry,
+                                 std::uint32_t generators,
+                                 GeneratorMaker make, BankId lo,
+                                 BankId hi, std::uint64_t budget)
+    : name_(std::move(name)), map_(geometry),
+      generatorCount_(generators), make_(std::move(make))
 {
-    MITHRIL_ASSERT(gen != nullptr);
-    generators_.push_back(std::move(gen));
+    MITHRIL_ASSERT(generatorCount_ > 0);
+    // Round-robin hands generator g the prefix positions g, g+N, ...
+    // of the full stream, so the first `budget` records hold
+    // budget/N + (g < budget%N) of its records.
+    const std::uint64_t share = budget / generatorCount_;
+    const std::uint64_t extra = budget % generatorCount_;
+    for (std::uint32_t g = 0; g < generatorCount_; ++g) {
+        auto gen = make_(g, map_);
+        MITHRIL_ASSERT(gen != nullptr);
+        BankId bank = kUndeclared;
+        if (const auto at = gen->targetBank())
+            bank = map_.flatBank(at->channel, at->rank, at->bank);
+        else
+            declared_ = false;
+        const std::uint64_t left = share + (g < extra ? 1 : 0);
+        if (left == 0 ||
+            (bank != kUndeclared && (bank < lo || bank >= hi)))
+            continue;
+        lanes_.push_back(Lane{std::move(gen), bank, left});
+    }
 }
 
 std::size_t
@@ -67,23 +93,52 @@ MultiBankSource::fill(ActBatch &batch, std::size_t limit)
 {
     std::size_t appended = 0;
     mc::Request req;
-    while (appended < limit && !generators_.empty() &&
-           !batch.full()) {
-        if (cursor_ >= generators_.size())
+    while (appended < limit && !lanes_.empty() && !batch.full()) {
+        if (cursor_ >= lanes_.size())
             cursor_ = 0;
-        auto rec = generators_[cursor_]->next();
+        Lane &lane = lanes_[cursor_];
+        const auto rec = lane.gen->next();
         if (!rec) {
-            generators_.erase(generators_.begin() +
-                              static_cast<std::ptrdiff_t>(cursor_));
+            MITHRIL_ASSERT_MSG(lane.bank == kUndeclared,
+                               "generator '%s' declared bank %u but "
+                               "ended",
+                               lane.gen->name().c_str(), lane.bank);
+            lanes_.erase(lanes_.begin() +
+                         static_cast<std::ptrdiff_t>(cursor_));
             continue;
         }
         req.addr = rec->addr;
         map_.decode(req);
+        MITHRIL_ASSERT_MSG(lane.bank == kUndeclared ||
+                               req.bank == lane.bank,
+                           "generator '%s' declared bank %u but "
+                           "aimed at bank %u",
+                           lane.gen->name().c_str(), lane.bank,
+                           req.bank);
         batch.push(req.bank, req.row);
-        ++cursor_;
         ++appended;
+        // A lane that spent its share leaves the rotation; the
+        // cursor then already points at its successor.
+        if (--lane.left == 0)
+            lanes_.erase(lanes_.begin() +
+                         static_cast<std::ptrdiff_t>(cursor_));
+        else
+            ++cursor_;
     }
     return appended;
+}
+
+std::unique_ptr<ActSource>
+MultiBankSource::shardSlice(BankId lo, BankId hi, std::uint64_t budget)
+{
+    if (!declared_)
+        return nullptr;
+    // Fresh generators through the slice's own map: the probe's
+    // state is never touched.
+    return std::unique_ptr<ActSource>(new MultiBankSource(
+        name_ + "[" + std::to_string(lo) + "," + std::to_string(hi) +
+            ")",
+        map_.geometry(), generatorCount_, make_, lo, hi, budget));
 }
 
 // ---------------------------------------------------- registration
@@ -166,19 +221,20 @@ const registry::Registrar<registry::SourceTraits> kRegisterAttack{{
                 " exceeds banksPerRank=" +
                 std::to_string(ctx.geometry.banksPerRank));
         }
-        auto source = std::make_unique<MultiBankSource>(
+        // Generator b hammers bank b of channel 0, rank 0; the maker
+        // is kept so every shard slice opens fresh generators.
+        return std::make_unique<MultiBankSource>(
             "attack:" + attack + "x" + std::to_string(banks),
-            ctx.geometry);
-        for (std::uint32_t b = 0; b < banks; ++b) {
-            ParamSet per_bank = params;
-            per_bank.set("attack-bank", std::to_string(b));
-            const registry::AttackContext attack_ctx{
-                source->map(), ctx.flipTh, /*benignCores=*/0,
-                ctx.seed, /*benignThread=*/{}};
-            source->addGenerator(registry::makeAttack(
-                attack, per_bank, attack_ctx));
-        }
-        return source;
+            ctx.geometry, banks,
+            [attack, params, flip_th = ctx.flipTh, seed = ctx.seed](
+                std::uint32_t b, const mc::AddressMap &map) {
+                ParamSet per_bank = params;
+                per_bank.set("attack-bank", std::to_string(b));
+                return registry::makeAttack(
+                    attack, per_bank,
+                    {map, flip_th, /*benignCores=*/0, seed,
+                     /*benignThread=*/{}});
+            });
     },
 }};
 

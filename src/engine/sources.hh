@@ -14,6 +14,7 @@
 #ifndef MITHRIL_ENGINE_SOURCES_HH
 #define MITHRIL_ENGINE_SOURCES_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,27 +53,59 @@ class TraceActSource : public ActSource
  * multi-bank attack shape: every targeted bank hammers at its own
  * full ACT rate, the worst case the paper's Theorem 1/2 margins are
  * sized for. Owns the address map its generators compose through.
+ *
+ * When every generator declares its bank
+ * (TraceGenerator::targetBank), shardSlice() is native: the slice
+ * builds fresh generators through the same maker, keeps only those
+ * aimed inside [lo, hi), and caps each at its share of the global
+ * round-robin prefix. Otherwise it returns nullptr and the sharded
+ * engine filters a full copy instead.
  */
 class MultiBankSource : public ActSource
 {
   public:
-    MultiBankSource(std::string name, const dram::Geometry &geometry);
+    /** Builds generator g of the stream, composing through `map`
+     *  (alive as long as the source that calls it). */
+    using GeneratorMaker =
+        std::function<std::unique_ptr<workload::TraceGenerator>(
+            std::uint32_t g, const mc::AddressMap &map)>;
 
-    /** The map generators must aim through (alive as long as the
-     *  source). */
-    const mc::AddressMap &map() const { return map_; }
-
-    /** Append one per-bank generator (ownership transferred). */
-    void addGenerator(std::unique_ptr<workload::TraceGenerator> gen);
+    /** The full stream of `generators` generators built by `make`. */
+    MultiBankSource(std::string name, const dram::Geometry &geometry,
+                    std::uint32_t generators, GeneratorMaker make);
 
     std::string name() const override { return name_; }
 
     std::size_t fill(ActBatch &batch, std::size_t limit) override;
 
+    std::unique_ptr<ActSource>
+    shardSlice(BankId lo, BankId hi, std::uint64_t budget) override;
+
   private:
+    /** No declared bank. */
+    static constexpr BankId kUndeclared = ~BankId{0};
+
+    /** One generator still in the rotation. */
+    struct Lane
+    {
+        std::unique_ptr<workload::TraceGenerator> gen;
+        BankId bank;          //!< Declared flat bank, or kUndeclared.
+        std::uint64_t left;   //!< Records it may still emit.
+    };
+
+    /** The generators aimed inside [lo, hi) (undeclared ones
+     *  always), each capped at its share of the first `budget`
+     *  records of the full stream. */
+    MultiBankSource(std::string name, const dram::Geometry &geometry,
+                    std::uint32_t generators, GeneratorMaker make,
+                    BankId lo, BankId hi, std::uint64_t budget);
+
     std::string name_;
     mc::AddressMap map_;
-    std::vector<std::unique_ptr<workload::TraceGenerator>> generators_;
+    std::uint32_t generatorCount_;
+    GeneratorMaker make_;
+    bool declared_ = true;  //!< Every generator declares its bank.
+    std::vector<Lane> lanes_;
     std::size_t cursor_ = 0;
 };
 

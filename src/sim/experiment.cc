@@ -88,7 +88,7 @@ runEngineExperiment(const ExperimentSpec &spec)
 
     // record=: capture the exact stream prefix this run will consume
     // — a separate drain of a fresh stream copy, so sharded runs
-    // (which pull one filtered copy per shard) record the one
+    // (which pull per-shard slices or filtered copies) record the one
     // canonical global stream. Registry sources are deterministic in
     // their seed, so the capture equals what the run replays.
     // Opening the writer would truncate an input file before the
@@ -150,43 +150,21 @@ runEngineExperiment(const ExperimentSpec &spec)
     // oracle none. Each shard's tracker warms from its own banks'
     // slice of the stream prefix, so warm-up — like the run itself —
     // is byte-identical at any shard count.
-    if (spec.trackerWarmupActs > 0) {
+    if (spec.trackerWarmupActs > 0 && eng.tracker(0)) {
         std::vector<RowId> discard;
         engine::ActBatch batch;
-        // One stream instance feeds every shard's warm-up slice when
-        // the source slices natively (the same probe-and-fall-back
-        // the sharded run itself uses), so an act-trace warm-up
-        // parses the index once and seeks instead of filter-scanning
-        // per shard.
-        std::unique_ptr<engine::ActSource> probe = make_stream();
+        auto warm = eng.shardSources(make_stream,
+                                     spec.trackerWarmupActs);
         for (std::uint32_t s = 0; s < eng.shardCount(); ++s) {
             trackers::RhProtection *tracker = eng.tracker(s);
-            if (!tracker)
-                break;
-            const auto [lo, hi] = eng.shardRange(s);
-            std::unique_ptr<engine::ActSource> warm;
-            if (probe)
-                warm = probe->shardSlice(lo, hi,
-                                         spec.trackerWarmupActs);
-            if (!warm) {
-                if (!probe)
-                    probe = make_stream();
-                warm = std::make_unique<engine::BankFilterSource>(
-                    std::move(probe), lo, hi,
-                    spec.trackerWarmupActs);
-            }
-            for (;;) {
-                batch.clear();
-                const std::size_t n =
-                    warm->fill(batch, engine::ActBatch::kCapacity);
-                if (n == 0)
-                    break;
-                for (std::size_t i = 0; i < n; ++i) {
+            while (warm[s]->fill(batch, engine::ActBatch::kCapacity)) {
+                for (std::size_t i = 0; i < batch.size(); ++i) {
                     const engine::ActRecord rec = batch.record(i);
                     discard.clear();
                     tracker->onActivate(rec.bank, rec.row, 0,
                                         discard);
                 }
+                batch.clear();
             }
         }
     }
