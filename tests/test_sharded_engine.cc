@@ -11,6 +11,12 @@
  * licenses running all engine sweeps sharded, and it covers PARA's
  * and PARFM's per-bank derived-seed path explicitly (a shared RNG
  * would diverge the moment banks run on different shards).
+ *
+ * The attack source's native shard slices are checked one level
+ * down as well: on the paper geometry, every built-in attack's slice
+ * must emit exactly the records a BankFilterSource over a fresh copy
+ * emits, and a stream whose generators declare no bank must fall
+ * back to filtering without changing any result.
  */
 
 #include <gtest/gtest.h>
@@ -20,12 +26,16 @@
 #include <tuple>
 #include <vector>
 
+#include "common/failpoint.hh"
+#include "common/logging.hh"
 #include "engine/sharded_engine.hh"
 #include "engine/sources.hh"
+#include "registry/attack_registry.hh"
 #include "registry/scheme_registry.hh"
 #include "registry/source_registry.hh"
 #include "runner/thread_pool.hh"
 #include "trackers/graphene.hh"
+#include "workload/attacks.hh"
 
 namespace mithril
 {
@@ -65,14 +75,24 @@ makeTracker(const std::string &scheme)
                                 {dram::ddr5_4800(), testGeometry()});
 }
 
+/** The attack stream a run drains. */
+struct StreamInput
+{
+    std::string attack = "multi-sided";
+    std::uint32_t sourceBanks = 0;  //!< 0 = every bank of the rank.
+    std::uint64_t acts = kActs;
+};
+
 std::unique_ptr<engine::ActSource>
-makeAttackStream(const std::string &attack = "multi-sided")
+makeAttackStream(const StreamInput &in,
+                 const dram::Geometry &geometry = testGeometry())
 {
     ParamSet params;
-    params.set("attack", attack);
+    params.set("attack", in.attack);
+    params.set("source-banks", std::to_string(in.sourceBanks));
     return registry::makeActSource(
         "attack", params,
-        {dram::ddr5_4800(), testGeometry(), kFlipTh, /*seed=*/7});
+        {dram::ddr5_4800(), geometry, kFlipTh, /*seed=*/7});
 }
 
 /** Everything both engines must agree on, byte for byte. */
@@ -111,15 +131,14 @@ operator<<(std::ostream &os, const Outcome &o)
 }
 
 Outcome
-runSingle(const std::string &scheme, bool honor_throttle = false,
-          const std::string &attack = "multi-sided")
+runSingle(const std::string &scheme, bool honor_throttle,
+          engine::ActSource &source, std::uint64_t acts)
 {
     auto tracker = makeTracker(scheme);
     engine::EngineConfig cfg = testEngineConfig();
     cfg.honorThrottle = honor_throttle;
     engine::ActStreamEngine eng(cfg, tracker.get());
-    auto source = makeAttackStream(attack);
-    eng.run(*source, kActs);
+    eng.run(source, acts);
 
     Outcome o;
     o.acts = eng.acts();
@@ -140,10 +159,18 @@ runSingle(const std::string &scheme, bool honor_throttle = false,
 }
 
 Outcome
+runSingle(const std::string &scheme, bool honor_throttle = false,
+          const StreamInput &in = {})
+{
+    auto source = makeAttackStream(in);
+    return runSingle(scheme, honor_throttle, *source, in.acts);
+}
+
+Outcome
 runSharded(const std::string &scheme, std::uint32_t shards,
-           runner::ThreadPool *pool = nullptr,
-           bool honor_throttle = false,
-           const std::string &attack = "multi-sided")
+           runner::ThreadPool *pool, bool honor_throttle,
+           const engine::ShardedActStreamEngine::StreamFactory &stream,
+           std::uint64_t acts)
 {
     engine::ShardedEngineConfig cfg;
     cfg.engine = testEngineConfig();
@@ -152,7 +179,7 @@ runSharded(const std::string &scheme, std::uint32_t shards,
     cfg.pool = pool;
     engine::ShardedActStreamEngine eng(
         cfg, [&] { return makeTracker(scheme); });
-    eng.run([&] { return makeAttackStream(attack); }, kActs);
+    eng.run(stream, acts);
 
     Outcome o;
     o.acts = eng.acts();
@@ -172,6 +199,16 @@ runSharded(const std::string &scheme, std::uint32_t shards,
     return o;
 }
 
+Outcome
+runSharded(const std::string &scheme, std::uint32_t shards,
+           runner::ThreadPool *pool = nullptr,
+           bool honor_throttle = false, const StreamInput &in = {})
+{
+    return runSharded(
+        scheme, shards, pool, honor_throttle,
+        [&] { return makeAttackStream(in); }, in.acts);
+}
+
 class ShardedEquivalence
     : public ::testing::TestWithParam<std::string>
 {
@@ -180,15 +217,23 @@ class ShardedEquivalence
 TEST_P(ShardedEquivalence, ShardCountNeverChangesResults)
 {
     const std::string scheme = GetParam();
-    const Outcome single = runSingle(scheme);
-    EXPECT_EQ(single.acts, kActs) << scheme;
+    // Every bank of the rank over a divisible budget, and 7 banks
+    // over a budget 7 does not divide: the first 120001 % 7
+    // generators own one record more of the prefix.
+    for (const StreamInput &in :
+         {StreamInput{}, StreamInput{"multi-sided", 7, 120001}}) {
+        const Outcome single = runSingle(scheme, false, in);
+        EXPECT_EQ(single.acts, in.acts) << scheme;
 
-    for (std::uint32_t shards : {1u, 2u, 4u, kBanks}) {
-        const Outcome sharded = runSharded(scheme, shards);
-        EXPECT_TRUE(sharded == single)
-            << scheme << " shards=" << shards
-            << "\n  sharded: " << sharded
-            << "\n  single:  " << single;
+        for (std::uint32_t shards : {1u, 2u, 4u, kBanks}) {
+            const Outcome sharded =
+                runSharded(scheme, shards, nullptr, false, in);
+            EXPECT_TRUE(sharded == single)
+                << scheme << " source-banks=" << in.sourceBanks
+                << " acts=" << in.acts << " shards=" << shards
+                << "\n  sharded: " << sharded
+                << "\n  single:  " << single;
+        }
     }
 }
 
@@ -242,10 +287,10 @@ TEST(ShardedEngine, ParaDerivedSeedsAreRunToRunDeterministic)
 TEST(ShardedEngine, ThrottledBlockHammerShardsExactly)
 {
     runner::ThreadPool pool(3);
-    const Outcome single =
-        runSingle("blockhammer", true, "double-sided");
-    const Outcome sharded = runSharded("blockhammer", 4, &pool, true,
-                                       "double-sided");
+    const StreamInput in{"double-sided"};
+    const Outcome single = runSingle("blockhammer", true, in);
+    const Outcome sharded =
+        runSharded("blockhammer", 4, &pool, true, in);
     EXPECT_TRUE(sharded == single)
         << "\n  sharded: " << sharded << "\n  single:  " << single;
     EXPECT_GT(single.stalls, 0u);
@@ -260,7 +305,7 @@ TEST(ShardedEngine, MergeTrackerStatsReducesCrossBankCounters)
     {
         engine::ActStreamEngine eng(testEngineConfig(),
                                     single_tracker.get());
-        auto source = makeAttackStream("double-sided");
+        auto source = makeAttackStream({"double-sided"});
         eng.run(*source, kActs);
     }
     const auto &single =
@@ -272,7 +317,7 @@ TEST(ShardedEngine, MergeTrackerStatsReducesCrossBankCounters)
     cfg.shards = 4;
     engine::ShardedActStreamEngine eng(
         cfg, [] { return makeTracker("graphene"); });
-    eng.run([] { return makeAttackStream("double-sided"); }, kActs);
+    eng.run([] { return makeAttackStream({"double-sided"}); }, kActs);
 
     auto merged = makeTracker("graphene");
     eng.mergeTrackerStatsInto(*merged);
@@ -351,6 +396,214 @@ TEST(ShardedEngine, ShardRangesPartitionBanks)
             EXPECT_TRUE(b >= lo && b < hi) << "bank " << b;
         }
     }
+}
+
+// ------------------------------------------- attack source slicing
+
+using Records = std::vector<std::tuple<BankId, RowId, Tick>>;
+
+/** Up to `max` records of a source, pulled in odd-sized fills so a
+ *  slice must resume mid-rotation. */
+Records
+drain(engine::ActSource &source, std::uint64_t max = ~0ull)
+{
+    Records out;
+    engine::ActBatch batch;
+    while (out.size() < max) {
+        batch.clear();
+        const auto want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(777, max - out.size()));
+        if (source.fill(batch, want) == 0)
+            break;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const engine::ActRecord r = batch.record(i);
+            out.emplace_back(r.bank, r.row, r.tick);
+        }
+    }
+    return out;
+}
+
+TEST(AttackSlice, NativeSliceEqualsFilteredFreshCopy)
+{
+    // The paper geometry: 2 channels x 32 banks. The attacks aim at
+    // channel 0, so [32, 64) holds no attacked bank.
+    const dram::Geometry geom = dram::paperGeometry();
+    ASSERT_EQ(geom.totalBanks(), 64u);
+    const std::vector<std::pair<BankId, BankId>> ranges = {
+        {0, 64}, {0, 16}, {16, 32}, {3, 5}, {32, 64}};
+    for (const std::string &attack :
+         registry::attackRegistry().names()) {
+        if (attack == "none")
+            continue;
+        for (std::uint32_t banks : {1u, 7u, 32u}) {
+            const StreamInput in{attack, banks};
+            auto probe = makeAttackStream(in, geom);
+            for (std::uint64_t budget : {0u, 1u, 6u, 7u, 8u, 120001u}) {
+                for (const auto &[lo, hi] : ranges) {
+                    auto native = probe->shardSlice(lo, hi, budget);
+                    ASSERT_NE(native, nullptr)
+                        << attack << " has no native slice";
+                    engine::BankFilterSource filtered(
+                        makeAttackStream(in, geom), lo, hi, budget);
+                    const Records want = drain(filtered);
+                    EXPECT_EQ(drain(*native), want)
+                        << attack << " source-banks=" << banks
+                        << " budget=" << budget << " [" << lo << ","
+                        << hi << ")";
+                    if (lo == 0 && hi == 64) {
+                        EXPECT_EQ(want.size(), budget) << attack;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(AttackSlice, SlicingLeavesTheProbeUndisturbed)
+{
+    const StreamInput in{"multi-sided", 7};
+    auto probe = makeAttackStream(in);
+    for (BankId lo : {0u, 2u, 4u}) {
+        auto slice = probe->shardSlice(lo, lo + 3, 5000);
+        ASSERT_NE(slice, nullptr);
+        EXPECT_FALSE(drain(*slice).empty());
+    }
+    auto fresh = makeAttackStream(in);
+    EXPECT_EQ(drain(*probe, 50000), drain(*fresh, 50000));
+}
+
+/** Hammers like a built-in attack but declares no bank — the shape
+ *  of an out-of-tree generator that opts out of native slicing. */
+class UndeclaredAttack : public workload::TraceGenerator
+{
+  public:
+    explicit UndeclaredAttack(workload::AttackTarget target)
+        : inner_(target)
+    {
+    }
+
+    std::optional<workload::TraceRecord> next() override
+    {
+        return inner_.next();
+    }
+
+    std::string name() const override { return "undeclared"; }
+
+  private:
+    workload::MultiSidedAttack inner_;
+};
+
+std::unique_ptr<engine::ActSource>
+makeUndeclaredStream()
+{
+    return std::make_unique<engine::MultiBankSource>(
+        "undeclared", testGeometry(), 7,
+        [](std::uint32_t b, const mc::AddressMap &map) {
+            workload::AttackTarget target;
+            target.map = &map;
+            target.bank = b;
+            return std::make_unique<UndeclaredAttack>(target);
+        });
+}
+
+TEST(AttackSlice, UndeclaredGeneratorsFallBackToFiltering)
+{
+    auto probe = makeUndeclaredStream();
+    EXPECT_EQ(probe->shardSlice(0, kBanks, kActs), nullptr);
+
+    auto single_source = makeUndeclaredStream();
+    const Outcome single =
+        runSingle("mithril", false, *single_source, 120001);
+    EXPECT_EQ(single.acts, 120001u);
+    for (std::uint32_t shards : {2u, 4u, kBanks}) {
+        const Outcome sharded = runSharded(
+            "mithril", shards, nullptr, false, makeUndeclaredStream,
+            120001);
+        EXPECT_TRUE(sharded == single)
+            << "shards=" << shards << "\n  sharded: " << sharded
+            << "\n  single:  " << single;
+    }
+}
+
+/** Declares its target bank, then breaks the promise that goes with
+ *  it: aims one bank off, or ends after a few records. */
+class DishonestAttack : public workload::DoubleSidedAttack
+{
+  public:
+    DishonestAttack(const workload::AttackTarget &target, bool ends)
+        : DoubleSidedAttack(target), ends_(ends)
+    {
+    }
+
+    std::optional<workload::BankCoord> targetBank() const override
+    {
+        auto at = DoubleSidedAttack::targetBank();
+        if (!ends_)
+            at->bank += 1;
+        return at;
+    }
+
+    std::optional<workload::TraceRecord> next() override
+    {
+        if (ends_ && produced_ >= 10)
+            return std::nullopt;
+        return DoubleSidedAttack::next();
+    }
+
+  private:
+    bool ends_;
+};
+
+TEST(AttackSlice, BrokenDeclarationsAreCaught)
+{
+    for (bool ends : {false, true}) {
+        engine::MultiBankSource source(
+            "dishonest", testGeometry(), 2,
+            [ends](std::uint32_t b, const mc::AddressMap &map) {
+                workload::AttackTarget target;
+                target.map = &map;
+                target.bank = b;
+                return std::make_unique<DishonestAttack>(target, ends);
+            });
+        setLogThrowOnFatal(true);
+        EXPECT_THROW(drain(source), std::runtime_error)
+            << (ends ? "ended" : "aimed off its bank");
+        setLogThrowOnFatal(false);
+    }
+}
+
+TEST(AttackSlice, BadAttackSourceSpecsAreRejected)
+{
+    const registry::SourceContext ctx{
+        dram::ddr5_4800(), dram::paperGeometry(), kFlipTh, 7};
+    EXPECT_THROW(
+        registry::makeActSource(
+            "attack", ParamSet::fromString("source-banks=33"), ctx),
+        registry::SpecError);
+    EXPECT_THROW(
+        registry::makeActSource(
+            "attack", ParamSet::fromString("attack-bank=3"), ctx),
+        registry::SpecError);
+}
+
+TEST(ShardedEngine, InlineJoinExcludesTheOtherShards)
+{
+    // Inline shards run back to back, so the wall of the whole run
+    // is the SUM of the shard walls; only what lies beyond that sum
+    // is join overhead. A 50 ms stall per shard makes the difference
+    // unmistakable.
+    engine::ShardedEngineConfig cfg;
+    cfg.engine = testEngineConfig();
+    cfg.shards = 2;
+    cfg.telemetry.phases = true;
+    engine::ShardedActStreamEngine eng(cfg, nullptr);
+    failpoint::armFromSpec("engine.shard-dispatch:stall:ms=50");
+    eng.run([] { return makeAttackStream({}); }, 1000);
+    failpoint::disarmAll();
+    ASSERT_GE(eng.shardWallSec(1), 0.05);
+    EXPECT_LT(eng.joinSec(), eng.shardWallSec(1) / 4)
+        << "join " << eng.joinSec() << " s, shard wall "
+        << eng.shardWallSec(1) << " s";
 }
 
 } // namespace
