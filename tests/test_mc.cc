@@ -705,7 +705,8 @@ enum class PinTracker
 /**
  * Pins every scheduling decision on the paths the goldens never reach:
  * the REFsb rotation, the DDR5 RAA decrement, ARR work and BlockHammer
- * throttling, under BLISS with a dozen cores. One seeded random stream
+ * throttling, under BLISS with a dozen cores, at queue capacities 2,
+ * 64 and 100 (100 needs two 64-slot words). One seeded random stream
  * (hot row pairs, row hits, writes, a streaky core 0) runs through one
  * standalone controller per case; the digest covers the ACT stream,
  * every completion (tick, seq) and the final ControllerStats. A
@@ -720,6 +721,7 @@ TEST_F(ControllerTest, SchedulerDecisionsArePinned)
         std::uint32_t raaRefDecrement;
         PinTracker tracker;
         std::uint64_t digest;
+        std::uint32_t queueCapacity = 64;
     };
     const Case cases[] = {
         {false, 0, PinTracker::Mithril, 0xd98c15403414a543ull},
@@ -738,6 +740,14 @@ TEST_F(ControllerTest, SchedulerDecisionsArePinned)
         {true, 8, PinTracker::MithrilPlus, 0x10a1c0c58b215f11ull},
         {true, 8, PinTracker::EveryNthArr, 0xf9539021dee3cae9ull},
         {true, 8, PinTracker::BlockHammer, 0x486f6cce97f53139ull},
+        {false, 0, PinTracker::Mithril, 0xbbe4dccd40b38c6full, 2},
+        {false, 0, PinTracker::BlockHammer, 0x5e23c53e7dd9e63dull, 2},
+        {true, 0, PinTracker::Mithril, 0x7f5325542f59b2a5ull, 2},
+        {true, 0, PinTracker::BlockHammer, 0xe6a501f42e3b8ed2ull, 2},
+        {false, 0, PinTracker::Mithril, 0x0597899ab578d1beull, 100},
+        {false, 0, PinTracker::BlockHammer, 0xa0e49376a3dcc704ull, 100},
+        {true, 0, PinTracker::Mithril, 0x74f402fd2555a54full, 100},
+        {true, 0, PinTracker::BlockHammer, 0x44c48816ea0326b9ull, 100},
     };
     constexpr std::size_t kRequests = 4000;
     constexpr std::uint32_t kCores = 12;
@@ -746,7 +756,8 @@ TEST_F(ControllerTest, SchedulerDecisionsArePinned)
         SCOPED_TRACE(::testing::Message()
                      << "refsb=" << c.perBankRefresh
                      << " raa-dec=" << c.raaRefDecrement
-                     << " tracker=" << static_cast<int>(c.tracker));
+                     << " tracker=" << static_cast<int>(c.tracker)
+                     << " capacity=" << c.queueCapacity);
         std::unique_ptr<trackers::RhProtection> tracker;
         core::MithrilParams mp;
         mp.nEntry = 64;
@@ -781,6 +792,7 @@ TEST_F(ControllerTest, SchedulerDecisionsArePinned)
         ControllerParams params;
         params.perBankRefresh = c.perBankRefresh;
         params.raaRefDecrement = c.raaRefDecrement;
+        params.queueCapacity = c.queueCapacity;
         build(std::move(tracker), params);
         completions_.clear();
 
