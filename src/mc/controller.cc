@@ -8,6 +8,23 @@
 namespace mithril::mc
 {
 
+namespace
+{
+
+/** Call fn(slot) for every set bit of a `words`-word slot mask, in
+ *  ascending slot order. */
+template <typename Fn>
+void
+forEachSlot(const std::uint64_t *mask, std::uint32_t words, Fn &&fn)
+{
+    for (std::uint32_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1)
+            fn(std::size_t{w} * 64 + __builtin_ctzll(bits));
+    }
+}
+
+} // namespace
+
 void
 ControllerStats::mergeFrom(const ControllerStats &other)
 {
@@ -36,8 +53,12 @@ Controller::Controller(dram::Device &device, const AddressMap &map,
     firstRank_ = channel_ * geom.ranksPerChannel;
     firstBank_ = firstRank_ * geom.banksPerRank;
     banks_.resize(geom.ranksPerChannel * geom.banksPerRank);
-    actMemo_.resize(banks_.size());
     rankPass_.resize(geom.ranksPerChannel);
+    bankQueue_.resize(banks_.size());
+    slotWords_ = (params_.queueCapacity + 63) / 64;
+    slotMask_.assign(banks_.size() * slotWords_, 0);
+    passSlots_.assign(slotWords_, 0);
+    actTick_.assign(banks_.size(), 0);
 
     const std::uint32_t total_ranks =
         geom.channels * geom.ranksPerChannel;
@@ -70,8 +91,82 @@ Controller::enqueue(const Request &req, Tick now)
     Request stored = req;
     stored.arrival = now;
     stored.seq = seq_++;
+    const std::size_t slot = queue_.size();
     queue_.push_back(stored);
+    const std::uint32_t local = req.bank - firstBank_;
+    BankQueue &q = bankQueue_[local];
+    ++q.count;
+    q.hitCount += req.row == q.hitRow;
+    slotMask(local)[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    refreshBank(local);
     return true;
+}
+
+void
+Controller::refreshBank(std::uint32_t local)
+{
+    BankQueue &q = bankQueue_[local];
+    const dram::Bank &bank = device_.bank(firstBank_ + local);
+    q.open = bank.isOpen();
+    if (q.open && bank.openRow() != q.hitRow) {
+        q.hitRow = bank.openRow();
+        q.hitCount = 0;
+        forEachSlot(slotMask(local), slotWords_, [&](std::size_t i) {
+            q.hitCount += queue_[i].row == q.hitRow;
+        });
+    }
+    // Fences never fall below tick 0, so earliestX(0) reads them raw.
+    if (q.count == 0) {
+        q.ready = kTickMax;
+    } else if (!q.open) {
+        q.ready = bank.earliestAct(0);
+    } else {
+        const std::uint32_t hits =
+            banks_[local].rowHitStreak < params_.maxRowHits ? q.hitCount
+                                                            : 0;
+        q.ready = std::min(hits ? bank.earliestCol(0) : kTickMax,
+                           q.count > hits ? bank.earliestPre(0)
+                                          : kTickMax);
+    }
+}
+
+bool
+Controller::indexConsistent() const
+{
+    // Rebuild the index from the queue alone: each request's next
+    // command is the one choose() would evaluate for it.
+    const std::size_t nbanks = bankQueue_.size();
+    std::vector<std::uint32_t> count(nbanks, 0);
+    std::vector<std::uint32_t> hits(nbanks, 0);
+    std::vector<Tick> ready(nbanks, kTickMax);
+    std::vector<std::uint64_t> masks(slotMask_.size(), 0);
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const Request &req = queue_[i];
+        const std::uint32_t local = req.bank - firstBank_;
+        const dram::Bank &bank = device_.bank(req.bank);
+        ++count[local];
+        hits[local] += req.row == bankQueue_[local].hitRow;
+        masks[local * slotWords_ + i / 64] |= std::uint64_t{1}
+                                              << (i % 64);
+        Tick t;
+        if (!bank.isOpen())
+            t = bank.earliestAct(0);
+        else if (bank.openRow() == req.row &&
+                 banks_[local].rowHitStreak < params_.maxRowHits)
+            t = bank.earliestCol(0);
+        else
+            t = bank.earliestPre(0);
+        ready[local] = std::min(ready[local], t);
+    }
+    for (std::size_t b = 0; b < nbanks; ++b) {
+        const BankQueue &q = bankQueue_[b];
+        const dram::Bank &bank = device_.bank(firstBank_ + b);
+        if (q.count != count[b] || q.hitCount != hits[b] ||
+            q.ready != ready[b] || q.open != bank.isOpen() ||
+            (q.open && q.hitRow != bank.openRow()))
+            return false;
+    }
+    return masks == slotMask_;
 }
 
 void
@@ -115,10 +210,9 @@ Controller::decrementRaa(BankId bank)
 }
 
 void
-Controller::handleActSideEffects(BankId bank, Tick t,
+Controller::handleActSideEffects(BankId bank,
                                  std::vector<RowId> &arr_out)
 {
-    (void)t;
     BankCtl &ctl = bankCtl(bank);
     const bool owed_before = owes(ctl);
     auto *tracker = device_.tracker();
@@ -138,7 +232,6 @@ Controller::choose(Tick t0)
     const auto &geom = device_.geometry();
     const std::uint32_t banks_per_channel =
         geom.ranksPerChannel * geom.banksPerRank;
-    ++pass_;
 
     // Commands that cannot issue yet only set the wake-up hint, so
     // that a stalled high-priority command never blocks ready work on
@@ -252,94 +345,120 @@ Controller::choose(Tick t0)
     }
 
     // Priority 3: demand requests, BLISS + FR-FCFS + minimalist-open.
-    // The scan reads pass-invariant state through locals: the tracker
-    // probe is a virtual call, after which members would be reloaded.
-    // enqueue() checked that every queued bank is one of ours.
+    //
+    // One sweep over the owned banks takes each bank's earliest
+    // command tick t: its ready tick, plus rank tRRD/tFAW pacing when
+    // closed. An unfenced bank is visited when t is legal now, or when
+    // it is closed and the tracker may delay ACTs: the throttle probe
+    // has side effects, so every candidate ACT must be probed as a
+    // full queue scan would. Every other unfenced bank can issue
+    // nothing before t and only feeds the wake-up hint.
+    const bool delays = tracker && tracker->delaysActs();
+    const bool any_owed = owedBanks_ != 0;
+    const std::uint32_t words = slotWords_;
+    const std::uint64_t *const masks = slotMask_.data();
+    std::uint64_t *const visit = passSlots_.data();
+    std::fill_n(visit, words, 0);
+    for (std::uint32_t r = 0; r < geom.ranksPerChannel; ++r) {
+        const Tick pace =
+            device_.rankTiming(firstRank_ + r).earliestAct(t0);
+        const RankPass &rp = rankPass_[r];
+        const bool rank_drain = rp.draining && rp.fenced == kAllBanks;
+        const BankId drain_bank = rp.draining ? rp.fenced : kAllBanks;
+        const std::uint32_t first = r * geom.banksPerRank;
+        for (std::uint32_t i = first; i < first + geom.banksPerRank;
+             ++i) {
+            const BankQueue &q = bankQueue_[i];
+            const Tick t = q.open ? q.ready : std::max(q.ready, pace);
+            const bool fenced = (any_owed && owes(banks_[i])) ||
+                                rank_drain ||
+                                firstBank_ + i == drain_bank;
+            const bool relevant =
+                !fenced && (t <= t0 || (delays && !q.open));
+            actTick_[i] = t;
+            wake = std::min(wake, fenced || relevant ? kTickMax : t);
+            const std::uint64_t keep = 0 - std::uint64_t{relevant};
+            for (std::uint32_t w = 0; w < words; ++w)
+                visit[w] |= masks[i * words + w] & keep;
+        }
+    }
+
+    // Visit the chosen banks' requests in queue order. The loop reads
+    // pass-invariant state through locals: the tracker probe is a
+    // virtual call, after which members would be reloaded.
     int best_class = 4;
     std::uint64_t best_seq = ~0ull;
     bool throttling = false;
-    const bool any_owed = owedBanks_ != 0;
     const std::uint32_t max_hits = params_.maxRowHits;
-    const std::uint64_t pass = pass_;
     const dram::Bank *const dev_banks = &device_.bank(firstBank_);
     const BankCtl *const ctls = banks_.data();
-    const RankPass *const ranks = rankPass_.data();
-    ActMemo *const act_memo = actMemo_.data();
+    const Tick *const act_tick = actTick_.data();
     const Tick *const bl_until = bliss_.blacklistUntil.data();
     const std::size_t bl_cores = bliss_.blacklistUntil.size();
     Request *const queue = queue_.data();
-    const std::size_t depth = queue_.size();
-    for (std::size_t i = 0; i < depth; ++i) {
-        Request &req = queue[i];
-        const std::uint32_t local = req.bank - firstBank_;
-        const BankCtl &ctl = ctls[local];
-        if (any_owed && owes(ctl))
-            continue;  // Bank fenced for protection work.
-        const RankPass &rp = ranks[req.rank];
-        if (rp.draining &&
-            (rp.fenced == kAllBanks || rp.fenced == req.bank))
-            continue;  // Bank/rank draining for REF.
-
-        const dram::Bank &bank = dev_banks[local];
-        const bool open_hit = bank.isOpen() &&
-                              bank.openRow() == req.row &&
-                              ctl.rowHitStreak < max_hits;
-        const bool blacklisted =
-            req.coreId < bl_cores && bl_until[req.coreId] > t0;
-        const int cls = (blacklisted ? 2 : 0) + (open_hit ? 0 : 1);
-        if (cls > best_class ||
-            (cls == best_class && req.seq >= best_seq)) {
-            continue;  // A ready candidate already beats this one.
-        }
-
-        Decision::Kind kind;
-        Tick issue;
-        if (open_hit) {
-            kind = req.isWrite ? Decision::Kind::Wr : Decision::Kind::Rd;
-            issue = bank.earliestCol(t0);
-        } else if (bank.isOpen()) {
-            kind = Decision::Kind::Pre;
-            issue = bank.earliestPre(t0);
-        } else {
-            kind = Decision::Kind::Act;
-            // Device::earliestAct, once per bank a pass.
-            ActMemo &memo = act_memo[local];
-            if (memo.pass != pass) {
-                memo.pass = pass;
-                memo.tick = device_.earliestAct(req.bank, t0);
+    for (std::uint32_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = visit[w]; bits != 0; bits &= bits - 1) {
+            const std::size_t i =
+                std::size_t{w} * 64 + __builtin_ctzll(bits);
+            Request &req = queue[i];
+            const std::uint32_t local = req.bank - firstBank_;
+            const dram::Bank &bank = dev_banks[local];
+            const bool open_hit = bank.isOpen() &&
+                                  bank.openRow() == req.row &&
+                                  ctls[local].rowHitStreak < max_hits;
+            const bool blacklisted =
+                req.coreId < bl_cores && bl_until[req.coreId] > t0;
+            const int cls = (blacklisted ? 2 : 0) + (open_hit ? 0 : 1);
+            if (cls > best_class ||
+                (cls == best_class && req.seq >= best_seq)) {
+                continue;  // A ready candidate already beats this one.
             }
-            Tick t = memo.tick;
-            if (tracker) {
-                const Tick throttled =
-                    tracker->throttleAct(req.bank, req.row, t);
-                if (throttled > t) {
-                    throttling = true;
-                    // One stall per delayed request: the scheduler
-                    // re-probes a waiting ACT on every pass, so a
-                    // per-probe count would measure the pass rate.
-                    if (!req.throttled) {
-                        req.throttled = true;
-                        ++stats_.throttleStalls;
-                        if (eventRecorder_) {
-                            eventRecorder_->record(
-                                telemetry::EventKind::ThrottleStall, t,
-                                req.bank, req.row, 0, throttled - t);
+
+            Decision::Kind kind;
+            Tick issue;
+            if (open_hit) {
+                kind = req.isWrite ? Decision::Kind::Wr
+                                   : Decision::Kind::Rd;
+                issue = bank.earliestCol(t0);
+            } else if (bank.isOpen()) {
+                kind = Decision::Kind::Pre;
+                issue = bank.earliestPre(t0);
+            } else {
+                kind = Decision::Kind::Act;
+                Tick t = act_tick[local];
+                if (delays) {
+                    const Tick throttled =
+                        tracker->throttleAct(req.bank, req.row, t);
+                    if (throttled > t) {
+                        throttling = true;
+                        // One stall per delayed request: the scheduler
+                        // re-probes a waiting ACT on every pass, so a
+                        // per-probe count would measure the pass rate.
+                        if (!req.throttled) {
+                            req.throttled = true;
+                            ++stats_.throttleStalls;
+                            if (eventRecorder_) {
+                                eventRecorder_->record(
+                                    telemetry::EventKind::ThrottleStall,
+                                    t, req.bank, req.row, 0,
+                                    throttled - t);
+                            }
                         }
+                        t = throttled;
                     }
-                    t = throttled;
                 }
+                issue = t;
             }
-            issue = t;
-        }
-        if (issue <= t0) {
-            best.kind = kind;
-            best.issue = issue;
-            best.bank = req.bank;
-            best.reqIndex = i;
-            best_class = cls;
-            best_seq = req.seq;
-        } else {
-            wake = std::min(wake, issue);
+            if (issue <= t0) {
+                best.kind = kind;
+                best.issue = issue;
+                best.bank = req.bank;
+                best.reqIndex = i;
+                best_class = cls;
+                best_seq = req.seq;
+            } else {
+                wake = std::min(wake, issue);
+            }
         }
     }
     if (best.kind != Decision::Kind::None)
@@ -378,7 +497,7 @@ Controller::execute(const Decision &d)
         const Request &req = queue_[d.reqIndex];
         scratch_.reset();
         device_.activate(d.bank, req.row, d.issue, scratch_.arr);
-        handleActSideEffects(d.bank, d.issue, scratch_.arr);
+        handleActSideEffects(d.bank, scratch_.arr);
         bankCtl(d.bank).rowHitStreak = 0;
         ++stats_.activates;
         ++stats_.rowMisses;
@@ -386,8 +505,23 @@ Controller::execute(const Decision &d)
       }
       case Decision::Kind::Rd:
       case Decision::Kind::Wr: {
+        // Swap-remove the request; the moved request's bit follows it.
         Request req = queue_[d.reqIndex];
-        queue_[d.reqIndex] = queue_.back();
+        const std::size_t last = queue_.size() - 1;
+        const std::uint32_t local = d.bank - firstBank_;
+        BankQueue &q = bankQueue_[local];
+        --q.count;
+        q.hitCount -= req.row == q.hitRow;
+        slotMask(local)[d.reqIndex / 64] &=
+            ~(std::uint64_t{1} << (d.reqIndex % 64));
+        if (d.reqIndex != last) {
+            std::uint64_t *const moved =
+                slotMask(queue_[last].bank - firstBank_);
+            moved[last / 64] &= ~(std::uint64_t{1} << (last % 64));
+            moved[d.reqIndex / 64] |= std::uint64_t{1}
+                                      << (d.reqIndex % 64);
+        }
+        queue_[d.reqIndex] = queue_[last];
         queue_.pop_back();
         Tick data;
         if (d.kind == Decision::Kind::Rd) {
@@ -486,6 +620,16 @@ Controller::execute(const Decision &d)
       case Decision::Kind::None:
         panic("executing a None decision");
     }
+    if (d.kind == Decision::Kind::Ref) {
+        const std::uint32_t first =
+            (d.rank - firstRank_) * device_.geometry().banksPerRank;
+        for (std::uint32_t i = 0; i < device_.geometry().banksPerRank;
+             ++i) {
+            refreshBank(first + i);
+        }
+    } else {
+        refreshBank(d.bank - firstBank_);
+    }
     return bus_done;
 }
 
@@ -510,6 +654,9 @@ Controller::service(Tick now)
         }
         busFree_ = execute(d);
     }
+#ifndef NDEBUG
+    MITHRIL_ASSERT(indexConsistent());
+#endif
     return next;
 }
 

@@ -22,6 +22,14 @@
  *
  * The controller is event-driven: service(now) issues every command
  * legal at `now` and returns the next tick it needs servicing.
+ *
+ * The channel queue is indexed by bank: each owned bank keeps its
+ * queued-request count, its count of requests to the row it last
+ * opened, a bank-local ready tick and a bitmask of the queue slots
+ * holding its requests, all kept current by enqueue() and execute().
+ * A scheduling pass sweeps the banks once and evaluates only the
+ * requests of banks that can issue now, in queue-slot order — the
+ * same decisions as a scan of the whole queue.
  */
 
 #ifndef MITHRIL_MC_CONTROLLER_HH
@@ -154,6 +162,15 @@ class Controller
     bool idle() const { return queue_.empty() && owedBanks_ == 0; }
 
     /**
+     * Self-check of the bank index: recomputes every owned bank's
+     * request count, hit-row count, ready tick, open flag and slot
+     * mask from the queue and the device, and compares them with the
+     * incrementally kept state. Debug builds assert it after every
+     * service() call.
+     */
+    bool indexConsistent() const;
+
+    /**
      * The first tick at which a scheduling pass could decide anything
      * the last pass did not foresee, even with no new request: a
      * rank's refresh drain starts or its refresh falls due (the pass
@@ -218,11 +235,24 @@ class Controller
     };
     static constexpr BankId kAllBanks = ~BankId{0};
 
-    /** A bank's earliest legal ACT tick, memoized for one pass. */
-    struct ActMemo
+    /**
+     * One owned bank's view of the request queue, refreshed by
+     * enqueue() and by every execute() that commits to the bank.
+     */
+    struct BankQueue
     {
-        std::uint64_t pass = 0;
-        Tick tick = 0;
+        /** Bank-local earliest tick any queued request can issue a
+         *  command: when open, the sooner of the column fence (a hit
+         *  within the minimalist-open cap is queued) and the PRE
+         *  fence (a request would miss); when closed, the ACT fence
+         *  (rank pacing is added per pass); kTickMax when empty. */
+        Tick ready = kTickMax;
+        std::uint32_t count = 0;     //!< Queued requests.
+        std::uint32_t hitCount = 0;  //!< Queued requests to hitRow.
+        /** The row hitCount counts: recounted only when the bank
+         *  opens a different row. */
+        RowId hitRow = kInvalidRow;
+        bool open = false;
     };
 
     /** Pick the next command given bus-free tick t0. */
@@ -247,8 +277,17 @@ class Controller
     /** Apply the DDR5 RAA decrement to one refreshed bank. */
     void decrementRaa(BankId bank);
 
-    void handleActSideEffects(BankId bank, Tick t,
-                              std::vector<RowId> &arr_out);
+    void handleActSideEffects(BankId bank, std::vector<RowId> &arr_out);
+
+    /** Bring an owned bank's BankQueue up to date with the device and
+     *  the bank's row-hit streak. */
+    void refreshBank(std::uint32_t local);
+
+    /** The queue-slot mask of an owned bank (slotWords_ words). */
+    std::uint64_t *slotMask(std::uint32_t local)
+    {
+        return &slotMask_[local * slotWords_];
+    }
 
     /** Per-bank control state of a global bank id in our channel. */
     BankCtl &bankCtl(BankId bank) { return banks_[bank - firstBank_]; }
@@ -276,9 +315,16 @@ class Controller
     std::vector<BankCtl> banks_;                 //!< Per owned bank.
     std::uint32_t owedBanks_ = 0;  //!< Owned banks that owe RFM/ARR.
 
-    std::uint64_t pass_ = 0;       //!< Scheduling passes so far.
     std::vector<RankPass> rankPass_;  //!< Per owned rank, this pass.
-    std::vector<ActMemo> actMemo_;    //!< Per owned bank.
+    std::vector<BankQueue> bankQueue_;   //!< Per owned bank.
+    std::uint32_t slotWords_;            //!< ceil(queueCapacity / 64).
+    /** Per owned bank, slotWords_ words: bit i set when queue_[i]
+     *  targets the bank. */
+    std::vector<std::uint64_t> slotMask_;
+    std::vector<std::uint64_t> passSlots_;  //!< Slots a pass visits.
+    /** Per owned bank, this pass: a closed bank's earliest legal ACT
+     *  (bank fence, rank tRRD/tFAW pacing and the pass tick). */
+    std::vector<Tick> actTick_;
     Tick stableUntil_ = 0;
 
     std::uint64_t seq_ = 0;

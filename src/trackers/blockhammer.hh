@@ -68,6 +68,7 @@ class BlockHammer : public RhProtection
         override;
 
     Tick throttleAct(BankId bank, RowId row, Tick now) override;
+    bool delaysActs() const override { return true; }
 
     double tableBytesPerBank() const override;
 

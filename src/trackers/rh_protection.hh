@@ -158,7 +158,8 @@ class alignas(64) RhProtection
 
     /**
      * Throttling hook: earliest tick this ACT may legally issue. The
-     * default performs no throttling.
+     * default performs no throttling. An override that can ever return
+     * a tick later than `now` must also override delaysActs().
      */
     virtual Tick throttleAct(BankId bank, RowId row, Tick now)
     {
@@ -166,6 +167,14 @@ class alignas(64) RhProtection
         (void)row;
         return now;
     }
+
+    /**
+     * True when throttleAct() may delay an ACT. The memory controller
+     * probes throttleAct() only for such schemes, and then probes
+     * every candidate ACT in queue order, since a probe may update the
+     * scheme's state. Must be constant over the tracker's lifetime.
+     */
+    virtual bool delaysActs() const { return false; }
 
     /** Auto-refresh (REF) notification for schemes with time epochs. */
     virtual void onRefresh(BankId bank, Tick now)

@@ -667,6 +667,63 @@ TEST_F(ControllerTest, IdleReflectsPendingWork)
     EXPECT_TRUE(ctrl_->idle());
 }
 
+TEST_F(ControllerTest, BankIndexStaysConsistent)
+{
+    // The scheduler's incrementally kept bank index must match a
+    // rebuild from the queue and the device after every enqueue and
+    // service step. Capacity 2 fills part of one slot word, 64 exactly
+    // one, and 100 spills into a second; Mithril's RFMs and both
+    // refresh modes exercise the fenced and all-bank REF paths.
+    for (std::uint32_t capacity : {2u, 64u, 100u}) {
+        for (bool refsb : {false, true}) {
+            SCOPED_TRACE(::testing::Message() << "capacity=" << capacity
+                                              << " refsb=" << refsb);
+            core::MithrilParams mp;
+            mp.nEntry = 64;
+            mp.rfmTh = 16;
+            ControllerParams params;
+            params.queueCapacity = capacity;
+            params.perBankRefresh = refsb;
+            build(std::make_unique<core::Mithril>(geom_.totalBanks(),
+                                                  mp),
+                  params);
+            Rng rng(0x1dec5ull + capacity);
+            Tick now = 0;
+            std::size_t admitted = 0;
+            while (admitted < 3000) {
+                for (auto n = rng.nextBounded(4); n > 0; --n) {
+                    const auto bank =
+                        static_cast<std::uint32_t>(rng.nextBounded(8));
+                    const RowId row =
+                        rng.nextBounded(3) == 0
+                            ? 100
+                            : static_cast<RowId>(rng.nextBounded(64));
+                    const auto core =
+                        static_cast<std::uint32_t>(rng.nextBounded(6));
+                    admitted += ctrl_->enqueue(
+                        makeReq(bank, row,
+                                static_cast<std::uint32_t>(
+                                    rng.nextBounded(128)),
+                                rng.nextBounded(4) == 0, core),
+                        now);
+                    ASSERT_TRUE(ctrl_->indexConsistent());
+                }
+                const Tick next = ctrl_->service(now);
+                ASSERT_TRUE(ctrl_->indexConsistent());
+                now = std::min<Tick>(
+                    next, now + 1 +
+                              static_cast<Tick>(
+                                  rng.nextBounded(nsToTick(20.0))));
+            }
+            while (!ctrl_->idle()) {
+                now = ctrl_->service(now);
+                ASSERT_TRUE(ctrl_->indexConsistent());
+            }
+            EXPECT_GT(ctrl_->stats().rfmIssued, 0u);
+        }
+    }
+}
+
 // ------------------------------------------------- scheduler pins
 
 /** FNV-1a-64 over little-endian 64-bit words. */

@@ -448,6 +448,44 @@ TEST_F(FactoryTest, EveryRegisteredSchemeBuilds)
     }
 }
 
+TEST_F(FactoryTest, EverySchemeThatDelaysActsDeclaresIt)
+{
+    // The MC probes throttleAct() only for schemes that declare
+    // delaysActs(); one that delayed an ACT without declaring it would
+    // silently lose its throttling. Hammer one row across a whole CBF
+    // lifetime (tREFW) and probe before every ACT.
+    registry::SchemeKnobs knobs;
+    knobs.flipTh = 6250;
+    const Tick spacing = 4 * timing_.tRC;
+    for (const std::string &name :
+         registry::schemeRegistry().names()) {
+        auto tracker = registry::makeScheme(name, knobs.toParams(),
+                                            {timing_, geom_});
+        if (!tracker)
+            continue;
+        SCOPED_TRACE(name);
+        std::vector<RowId> arr;
+        std::uint32_t raa = 0;
+        bool delayed = false;
+        for (Tick t = 0; t <= timing_.tREFW; t += spacing) {
+            delayed |= tracker->throttleAct(0, 7, t) > t;
+            tracker->onActivate(0, 7, t, arr);
+            if (tracker->usesRfm() && ++raa >= tracker->rfmTh()) {
+                raa = 0;
+                tracker->onRfm(0, t, arr);
+            }
+            arr.clear();
+        }
+        if (delayed) {
+            EXPECT_TRUE(tracker->delaysActs());
+        }
+        if (name == "blockhammer") {
+            EXPECT_TRUE(delayed);
+            EXPECT_TRUE(tracker->delaysActs());
+        }
+    }
+}
+
 TEST_F(FactoryTest, AliasesResolveToCanonicalEntries)
 {
     const auto *plus = registry::schemeRegistry().find("mithril_plus");
