@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/page_allocator.hh"
 #include "common/types.hh"
 
 namespace mithril::cpu
@@ -86,7 +87,9 @@ class Cache
     CacheParams params_;
     std::uint32_t sets_;
     std::uint32_t lineShift_;
-    std::vector<Line> lines_;  //!< sets_ x ways, row-major.
+    /** sets_ x ways, row-major; megabytes at the paper's size, so in
+     *  a mapping of its own. */
+    std::vector<Line, PageAllocator<Line>> lines_;
     std::uint64_t useClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -98,12 +98,12 @@ Controller::enqueue(const Request &req, Tick now)
     ++q.count;
     q.hitCount += req.row == q.hitRow;
     slotMask(local)[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    refreshBank(local);
+    updateBankQueue(local);
     return true;
 }
 
 void
-Controller::refreshBank(std::uint32_t local)
+Controller::updateBankQueue(std::uint32_t local)
 {
     BankQueue &q = bankQueue_[local];
     const dram::Bank &bank = device_.bank(firstBank_ + local);
@@ -625,10 +625,10 @@ Controller::execute(const Decision &d)
             (d.rank - firstRank_) * device_.geometry().banksPerRank;
         for (std::uint32_t i = 0; i < device_.geometry().banksPerRank;
              ++i) {
-            refreshBank(first + i);
+            updateBankQueue(first + i);
         }
     } else {
-        refreshBank(d.bank - firstBank_);
+        updateBankQueue(d.bank - firstBank_);
     }
     return bus_done;
 }

@@ -236,7 +236,7 @@ class Controller
     static constexpr BankId kAllBanks = ~BankId{0};
 
     /**
-     * One owned bank's view of the request queue, refreshed by
+     * One owned bank's view of the request queue, kept current by
      * enqueue() and by every execute() that commits to the bank.
      */
     struct BankQueue
@@ -281,7 +281,7 @@ class Controller
 
     /** Bring an owned bank's BankQueue up to date with the device and
      *  the bank's row-hit streak. */
-    void refreshBank(std::uint32_t local);
+    void updateBankQueue(std::uint32_t local);
 
     /** The queue-slot mask of an owned bank (slotWords_ words). */
     std::uint64_t *slotMask(std::uint32_t local)

@@ -1,17 +1,23 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG, stats, histogram, table
- * printer, parameter set, logging, and time conversion.
+ * printer, parameter set, logging, time conversion and the page
+ * allocator.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/histogram.hh"
 #include "common/logging.hh"
+#include "common/page_allocator.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table_printer.hh"
@@ -209,6 +215,21 @@ TEST(Histogram, OverflowUnderflow)
     EXPECT_EQ(h.underflow(), 1u);
     EXPECT_EQ(h.overflow(), 3u);
     EXPECT_EQ(h.totalSamples(), 4u);
+}
+
+TEST(PageAllocator, BacksAVectorWithItsOwnPages)
+{
+    std::vector<std::uint64_t, PageAllocator<std::uint64_t>> v(
+        100000, 7);
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % page, 0u);
+    v.back() = 9;
+    auto copy = v;
+    EXPECT_NE(copy.data(), v.data());
+    EXPECT_EQ(copy, v);
+    v.assign(3, 1);
+    EXPECT_EQ(v.size(), 3u);
+    EXPECT_EQ(copy.back(), 9u);
 }
 
 TEST(TablePrinter, AlignsColumns)
