@@ -20,8 +20,8 @@
 #include "bench_util.hh"
 #include "core/bounds.hh"
 #include "core/config_solver.hh"
-#include "sim/act_harness.hh"
 #include "core/mithril.hh"
+#include "engine/act_stream_engine.hh"
 #include "trackers/graphene.hh"
 #include "trackers/rfm_graphene.hh"
 
@@ -35,21 +35,22 @@ concentrationDisturbance(trackers::RhProtection *tracker,
                          const dram::Timing &timing,
                          std::uint32_t threshold)
 {
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 1u << 30;
-    sim::ActHarness harness(cfg, tracker);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30),
+        tracker);
     const std::uint64_t q = 150;
     const std::uint64_t phase1 = q * threshold;
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    if (i < phase1)
-                        return static_cast<RowId>(2000 + 2 * (i % q));
-                    const RowId last =
-                        static_cast<RowId>(2000 + 2 * (q - 1));
-                    return (i % 2) ? last : last - 2;
-                });
-    return harness.oracle().maxDisturbanceEver();
+    engine::CallbackSource source(
+        dram::maxActsPerWindow(timing),
+        [&](std::uint64_t i) {
+            if (i < phase1)
+                return static_cast<RowId>(2000 + 2 * (i % q));
+            const RowId last =
+                static_cast<RowId>(2000 + 2 * (q - 1));
+            return (i % 2) ? last : last - 2;
+        });
+    eng.run(source);
+    return eng.oracle().maxDisturbanceEver();
 }
 
 } // namespace

@@ -112,9 +112,9 @@ struct BenchScale
     void
     applyTo(runner::SweepSpec &spec) const
     {
-        spec.cores = cores;
-        spec.instrPerCore = instrPerCore;
-        spec.seed = seed;
+        spec.base.cores = cores;
+        spec.base.instrPerCore = instrPerCore;
+        spec.base.seed = seed;
     }
 
     runner::RunnerOptions

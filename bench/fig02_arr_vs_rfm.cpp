@@ -18,7 +18,7 @@
 
 #include "analysis/arr_vs_rfm.hh"
 #include "bench_util.hh"
-#include "sim/act_harness.hh"
+#include "engine/act_stream_engine.hh"
 #include "trackers/graphene.hh"
 #include "trackers/rfm_graphene.hh"
 
@@ -40,25 +40,27 @@ measureRfmGraphene(const dram::Timing &timing, std::uint32_t threshold,
     params.resetInterval = timing.tREFW;
     trackers::RfmGraphene tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 1u << 30;  // Observe disturbance, no flip cap.
-    sim::ActHarness harness(cfg, &tracker);
+    // Observe disturbance, no flip cap.
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30),
+        &tracker);
 
     // Concentration inside half a window, then hammer the last pair.
     const std::uint64_t q = std::min<std::uint64_t>(
         300000 / threshold,
         dram::maxActsPerWindow(timing) / (2ull * threshold));
     const std::uint64_t phase1 = q * threshold;
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    if (i < phase1)
-                        return static_cast<RowId>(2000 + 2 * (i % q));
-                    const RowId last =
-                        static_cast<RowId>(2000 + 2 * (q - 1));
-                    return (i % 2) ? last : last - 2;
-                });
-    return harness.oracle().maxDisturbanceEver();
+    engine::CallbackSource source(
+        dram::maxActsPerWindow(timing),
+        [&](std::uint64_t i) {
+            if (i < phase1)
+                return static_cast<RowId>(2000 + 2 * (i % q));
+            const RowId last =
+                static_cast<RowId>(2000 + 2 * (q - 1));
+            return (i % 2) ? last : last - 2;
+        });
+    eng.run(source);
+    return eng.oracle().maxDisturbanceEver();
 }
 
 /** Measured max disturbance for ARR-Graphene under the same attack. */
@@ -72,22 +74,23 @@ measureArrGraphene(const dram::Timing &timing, std::uint32_t threshold)
     params.resetInterval = timing.tREFW;
     trackers::Graphene tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 1u << 30;
-    sim::ActHarness harness(cfg, &tracker);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30),
+        &tracker);
     const std::uint64_t q = 300000 / threshold;
     const std::uint64_t phase1 =
         q * static_cast<std::uint64_t>(threshold);
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    if (i < phase1)
-                        return static_cast<RowId>(2000 + 2 * (i % q));
-                    const RowId last =
-                        static_cast<RowId>(2000 + 2 * (q - 1));
-                    return (i % 2) ? last : last - 2;
-                });
-    return harness.oracle().maxDisturbanceEver();
+    engine::CallbackSource source(
+        dram::maxActsPerWindow(timing),
+        [&](std::uint64_t i) {
+            if (i < phase1)
+                return static_cast<RowId>(2000 + 2 * (i % q));
+            const RowId last =
+                static_cast<RowId>(2000 + 2 * (q - 1));
+            return (i % 2) ? last : last - 2;
+        });
+    eng.run(source);
+    return eng.oracle().maxDisturbanceEver();
 }
 
 } // namespace

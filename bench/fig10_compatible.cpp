@@ -65,7 +65,7 @@ main(int argc, char **argv)
         spec.cases.push_back({w, "none"});
     spec.cases.push_back({"mix-high", "multi-sided"});
     spec.cases.push_back({"mix-high", "cbf-pollution"});
-    spec.trackerWarmupActs = kWarmupActs;
+    spec.base.trackerWarmupActs = kWarmupActs;
     spec.includeBaseline = true;
     scale.applyTo(spec);
 

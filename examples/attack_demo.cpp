@@ -16,8 +16,8 @@
 #include "common/config.hh"
 #include "common/random.hh"
 #include "common/table_printer.hh"
+#include "engine/act_stream_engine.hh"
 #include "registry/scheme_registry.hh"
-#include "sim/act_harness.hh"
 
 using namespace mithril;
 
@@ -101,16 +101,16 @@ main(int argc, char **argv)
         } catch (const registry::SpecError &err) {
             fatal("%s", err.what());
         }
-        sim::ActHarnessConfig cfg;
-        cfg.timing = timing;
-        cfg.flipTh = flip_th;
-        sim::ActHarness harness(cfg, tracker.get());
+        engine::ActStreamEngine eng(
+            engine::EngineConfig::singleBank(timing, flip_th),
+            tracker.get());
         Rng rng(99);
-        harness.run(acts, [&](std::uint64_t i) {
+        engine::CallbackSource source(acts, [&](std::uint64_t i) {
             return pattern.row(i, rng);
         });
+        eng.run(source);
 
-        const auto &oracle = harness.oracle();
+        const auto &oracle = eng.oracle();
         const bool safe = oracle.bitFlips() == 0;
         all_safe = all_safe && safe;
         table.beginRow()
@@ -118,8 +118,8 @@ main(int argc, char **argv)
             .num(oracle.maxDisturbanceEver(), 0)
             .intCell(static_cast<long long>(oracle.bitFlips()))
             .intCell(static_cast<long long>(
-                harness.preventiveRefreshes()))
-            .intCell(static_cast<long long>(harness.rfms()))
+                eng.preventiveRefreshes()))
+            .intCell(static_cast<long long>(eng.rfms()))
             .cell(safe ? "SAFE" : "FLIPPED");
     }
     std::printf("%s\n", table.str().c_str());

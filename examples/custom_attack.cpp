@@ -118,9 +118,7 @@ main(int argc, char **argv)
         {});
     spec.tunables.set("window",
                       params.getString("window", "16"));
-    spec.cores = scale.cores;
-    spec.instrPerCore = scale.instrPerCore;
-    spec.seed = scale.seed;
+    scale.applyTo(spec);
 
     const runner::SweepRunner run(scale.runnerOptions());
     const runner::SweepResult result = run.run(spec);

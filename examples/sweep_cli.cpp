@@ -38,13 +38,13 @@
  *             trace=corpus.acttrace \
  *             trace-pipeline='merge:t0.acttrace,t1.acttrace|splice:attack=multi-sided,at=1000000'
  *
- * Knobs: cores= instr= seed= ad= warmup= baseline=0/1 blast-radius=
- *        acts=N (engine ACT budget with sources=)
- *        record=PATH (capture the single job's ACT stream)
- *        trace-pipeline=SPEC (compose the trace= corpus once before
- *        the sweep; ops via --list trace-ops, or trace_cli)
- *        seed-policy=shared|per-job jobs=N progress=0/1
- *        table=0/1 json=PATH csv=PATH
+ * Knobs: baseline=0/1 seed-policy=shared|per-job jobs=N
+ *        progress=0/1 table=0/1 json=PATH csv=PATH, every
+ *        ExperimentSpec knob its knob table (src/sim/experiment_spec.cc)
+ *        marks as a sweep scalar — cores= instr= seed= ad= warmup=
+ *        blast-radius= acts= channels= mc-threads= telemetry=
+ *        heatmap-regions= trace-capacity= record=PATH trace-events=PATH
+ *        trace-pipeline=SPEC — range-checked before any job runs,
  *        plus any parameter a selected registry entry declares
  *        (e.g. victims= with attacks=multi-sided, trace= with
  *        sources=act-trace).

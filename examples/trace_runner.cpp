@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "common/table_printer.hh"
 #include "registry/scheme_registry.hh"
 #include "sim/system.hh"
@@ -123,10 +122,9 @@ main(int argc, char **argv)
     std::printf("\n%s", table.str().c_str());
 
     if (params.getBool("dump_stats", false)) {
-        StatRegistry registry;
-        system.exportStats(registry);
-        std::printf("\n--- full stats ---\n%s",
-                    registry.dump().c_str());
+        telemetry::MetricSheet sheet;
+        system.exportStats(sheet);
+        std::printf("\n--- full stats ---\n%s", sheet.dump().c_str());
     }
     return system.bitFlips() == 0 ? 0 : 1;
 }

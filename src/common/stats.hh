@@ -1,19 +1,13 @@
 /**
  * @file
- * Lightweight statistics registry.
- *
- * Components register named scalar counters and averages with a
- * StatRegistry; experiments snapshot, diff, and print them. This mirrors
- * the role of the gem5 stats package at the scale this simulator needs.
+ * Scalar statistics: a counter and a mean/min/max accumulator. Named
+ * collections of them live in telemetry::MetricSheet.
  */
 
 #ifndef MITHRIL_COMMON_STATS_HH
 #define MITHRIL_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace mithril
 {
@@ -60,47 +54,6 @@ class Average
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/**
- * Hierarchical name -> stat map. Ownership of the stat objects stays with
- * the registry; components hold stable pointers.
- */
-class StatRegistry
-{
-  public:
-    /** Get or create a counter under the given dotted name. */
-    Counter &counter(const std::string &name);
-
-    /** Get or create an average under the given dotted name. */
-    Average &average(const std::string &name);
-
-    /** Value of a counter (0 when absent). */
-    std::uint64_t counterValue(const std::string &name) const;
-
-    /** All counters in name order, for printing. */
-    std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-
-    /** All averages in name order. */
-    std::vector<std::pair<std::string, double>> averageMeans() const;
-
-    /**
-     * Fold another registry into this one by name union: counters add,
-     * averages merge via Average::mergeFrom(). Deterministic (name
-     * order) and associative, so shard registries may be folded in any
-     * grouping.
-     */
-    void mergeFrom(const StatRegistry &other);
-
-    /** Reset every stat to zero. */
-    void resetAll();
-
-    /** Render all stats as "name value" lines. */
-    std::string dump() const;
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Average> averages_;
 };
 
 } // namespace mithril

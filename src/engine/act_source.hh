@@ -117,8 +117,9 @@ class ActSource
 };
 
 /**
- * Single-bank index-addressed callback source — the adapter behind
- * the classic ActHarness::run(count, row_source) surface.
+ * Single-bank index-addressed callback source: row i of `count`
+ * activations is row_source(i). With EngineConfig::singleBank it
+ * drives the worst-case safety sweeps.
  */
 class CallbackSource : public ActSource
 {

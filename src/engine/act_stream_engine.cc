@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "telemetry/exports.hh"
 #include "telemetry/telemetry.hh"
 
 namespace mithril::engine
@@ -10,8 +11,8 @@ namespace mithril::engine
 
 EngineConfig
 EngineConfig::singleBank(const dram::Timing &timing,
-                         std::uint32_t rows_per_bank,
                          std::uint32_t flip_th,
+                         std::uint32_t rows_per_bank,
                          std::uint32_t blast_radius)
 {
     EngineConfig cfg;
@@ -347,35 +348,14 @@ ActStreamEngine::exportTelemetry()
     sheet.setCounter("engine.preventive", preventive_);
     sheet.setCounter("engine.throttle_stalls", throttleStalls_);
     if (config_.enableOracle) {
-        sheet.setCounter("oracle.bit_flips", oracle_.bitFlips());
-        sheet.setCounter("oracle.flipped_rows",
-                         oracle_.flippedRows());
-        sheet.setGauge("oracle.max_disturbance",
-                       oracle_.maxDisturbanceEver());
+        telemetry::exportOracle(sheet, oracle_.bitFlips(),
+                                oracle_.flippedRows(),
+                                oracle_.maxDisturbanceEver());
     }
-    if (events_) {
-        std::uint64_t emitted = 0;
-        for (BankId b = 0; b < events_->numBanks(); ++b)
-            emitted += events_->emitted(b);
-        sheet.setCounter("trace.emitted", emitted);
-        sheet.setCounter("trace.dropped", events_->dropped());
-    }
-    if (heatmap_) {
-        sheet.setCounter("heatmap.acts", heatmap_->totalActs());
-        std::uint64_t folds = 0, regions = 0;
-        std::uint32_t max_gran = 0;
-        for (BankId b = 0; b < heatmap_->numBanks(); ++b) {
-            folds += heatmap_->folds(b);
-            max_gran =
-                std::max(max_gran, heatmap_->granularityLog2(b));
-        }
-        for (const auto &snap : heatmap_->snapshot())
-            regions += snap.regions.size();
-        sheet.setCounter("heatmap.folds", folds);
-        sheet.setCounter("heatmap.regions", regions);
-        sheet.setGauge("heatmap.max_granularity_log2",
-                       static_cast<double>(max_gran));
-    }
+    if (events_)
+        telemetry::exportEventCounts(sheet, {events_});
+    if (heatmap_)
+        telemetry::exportHeatmap(sheet, *heatmap_);
     if (tracker_)
         tracker_->exportMetrics(sheet);
 }

@@ -3,8 +3,8 @@
  * The ActStream engine: the one command-level simulation core every
  * maximum-rate frontend drives.
  *
- * It generalizes the historical single-bank ActHarness to the full
- * dram::Geometry (channels x ranks x banks, each bank an independent
+ * It generalizes the historical single-bank command harness to the
+ * full dram::Geometry (channels x ranks x banks, each bank an independent
  * clock at one ACT per tRC), consumes SoA batches of activations from
  * an ActSource, and interleaves REF (every tREFI, per the refresh-group
  * rotation), RFM (every rfmTh() ACTs), immediate ARR work, and —
@@ -14,8 +14,8 @@
  *
  * Two dispatch modes share all bookkeeping:
  *
- *  - Scalar: the faithful per-ACT port of ActHarness::activate() —
- *    one virtual tracker call per activation.
+ *  - Scalar: the faithful per-ACT port of the historical harness's
+ *    activate() — one virtual tracker call per activation.
  *  - Batched (default): activations are partitioned per bank and cut
  *    into maximal runs that cross no REF or RFM boundary; each run is
  *    handed to RhProtection::onActivateBatch() with precomputed ticks
@@ -77,8 +77,8 @@ struct EngineConfig
      *  experiments must keep it on. */
     bool enableOracle = true;
     /** Honour RhProtection::throttleAct() (System-style frontends).
-     *  Off by default — the harness never throttled, and max-rate
-     *  safety sweeps model an attacker that ignores advisories.
+     *  Off by default — max-rate safety sweeps model an attacker
+     *  that ignores advisories.
      *  Throttling is an inherently per-ACT decision, so enabling it
      *  forces scalar dispatch regardless of `dispatch`. */
     bool honorThrottle = false;
@@ -91,12 +91,13 @@ struct EngineConfig
      */
     telemetry::EngineTelemetry *telemetry = nullptr;
 
-    /** The historical ActHarness shape: one bank, default geometry
-     *  elsewhere. */
+    /** One bank at the maximum ACT rate, default geometry elsewhere:
+     *  the shape of worst-case safety sweeps (Fig. 2, Theorems 1/2),
+     *  driven by an index-addressed CallbackSource. */
     static EngineConfig singleBank(const dram::Timing &timing,
-                                   std::uint32_t rows_per_bank,
                                    std::uint32_t flip_th,
-                                   std::uint32_t blast_radius);
+                                   std::uint32_t rows_per_bank = 65536,
+                                   std::uint32_t blast_radius = 1);
 };
 
 /** Multi-bank maximum-rate command stream engine. */

@@ -270,11 +270,11 @@ SweepRunner::run(const SweepSpec &spec, JobFn fn) const
     // Compose the replay corpus exactly once, before any job opens
     // it — jobs never carry the pipeline, so N grid points replay
     // one materialization instead of racing N writers on one path.
-    if (!spec.tracePipeline.empty()) {
+    if (!spec.base.tracePipeline.empty()) {
         try {
             trace::materializePipeline(
-                spec.tracePipeline,
-                spec.tunables.getString("trace", ""), spec.seed);
+                spec.base.tracePipeline,
+                spec.tunables.getString("trace", ""), spec.base.seed);
         } catch (const registry::SpecError &err) {
             // A broken pipeline fails every act-trace job, so fail
             // the sweep up front with the real message.

@@ -227,19 +227,19 @@ JsonSink::write(const SweepResult &result, std::ostream &os) const
     os << "{\n";
     os << "  \"schema\": \"" << kSweepSchemaVersion << "\",\n";
     os << "  \"spec\": {\n";
-    os << "    \"cores\": " << spec.cores << ",\n";
-    os << "    \"instrPerCore\": " << spec.instrPerCore << ",\n";
-    os << "    \"seed\": " << spec.seed << ",\n";
+    os << "    \"cores\": " << spec.base.cores << ",\n";
+    os << "    \"instrPerCore\": " << spec.base.instrPerCore << ",\n";
+    os << "    \"seed\": " << spec.base.seed << ",\n";
     os << "    \"seedPolicy\": \"" << seedPolicyName(spec.seedPolicy)
        << "\",\n";
-    os << "    \"trackerWarmupActs\": " << spec.trackerWarmupActs
+    os << "    \"trackerWarmupActs\": " << spec.base.trackerWarmupActs
        << ",\n";
-    os << "    \"blastRadius\": " << spec.blastRadius << ",\n";
+    os << "    \"blastRadius\": " << spec.base.blastRadius << ",\n";
     // channels is result-affecting geometry, so it belongs in the
     // provenance block; mc-threads is deliberately absent — it is an
     // execution knob with byte-identical results, and keeping it out
     // lets CI diff sweeps across thread counts verbatim.
-    os << "    \"channels\": " << spec.channels << ",\n";
+    os << "    \"channels\": " << spec.base.channels << ",\n";
     os << "    \"includeBaseline\": "
        << (spec.includeBaseline ? "true" : "false") << "\n";
     os << "  },\n";

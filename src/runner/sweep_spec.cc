@@ -144,15 +144,9 @@ SweepSpec::fromParams(const ParamSet &params,
     // Key validation happens after the axes resolve so entry-declared
     // tunables (e.g. victims= with a multi-sided attack) can ride
     // along; every other unknown key is fatal.
-    static const std::vector<std::string> kSpecKeys = {
-        "schemes",      "flip",    "rfm",      "workloads",
-        "attacks",      "cores",   "instr",    "seed",
-        "channels",     "mc-threads",
-        "blast-radius", "ad",      "warmup",   "baseline",
-        "seed-policy",  "sources", "shards",   "acts",
-        "record",       "telemetry", "trace-events",
-        "heatmap-regions", "trace-capacity", "trace-pipeline",
-        "failpoints",
+    static const std::vector<std::string> kSweepKeys = {
+        "schemes", "flip",    "rfm",      "workloads",   "attacks",
+        "sources", "shards",  "baseline", "seed-policy", "failpoints",
     };
     std::vector<std::string> case_workloads;
     std::vector<std::string> case_attacks;
@@ -166,8 +160,10 @@ SweepSpec::fromParams(const ParamSet &params,
                                    ? std::vector<std::string>{"mithril"}
                                    : spec.schemes;
     for (const std::string &key : params.keys()) {
-        if (std::find(kSpecKeys.begin(), kSpecKeys.end(), key) !=
-                kSpecKeys.end() ||
+        if (std::find(kSweepKeys.begin(), kSweepKeys.end(), key) !=
+                kSweepKeys.end() ||
+            sim::ExperimentSpec::isKnob(
+                key, sim::ExperimentSpec::KnobSet::SweepScalars) ||
             std::find(extra_keys.begin(), extra_keys.end(), key) !=
                 extra_keys.end())
             continue;
@@ -196,52 +192,35 @@ SweepSpec::fromParams(const ParamSet &params,
         spec.tunables.set(key, params.getString(key));
     }
 
-    spec.blastRadius =
-        params.getUint32("blast-radius", spec.blastRadius);
-    spec.adTh = params.getUint32("ad", spec.adTh);
-    spec.cores = params.getUint32("cores", spec.cores);
-    spec.instrPerCore = params.getUint("instr", spec.instrPerCore);
-    spec.channels = params.getUint32("channels", spec.channels);
-    if (spec.channels != 0 &&
-        (spec.channels & (spec.channels - 1)) != 0) {
-        // Die at the CLI like any other malformed axis, not as
-        // per-job FAILED cells.
-        fatal("channels=%u is not a power of two", spec.channels);
+    // The scalars go through the spec's knob table, ranges included,
+    // so an out-of-range value dies here like a malformed axis.
+    spec.base.readKnobs(params,
+                        sim::ExperimentSpec::KnobSet::SweepScalars);
+    try {
+        spec.base.checkRanges();
+    } catch (const registry::SpecError &err) {
+        fatal("%s", err.what());
     }
-    spec.mcThreads = params.getUint32("mc-threads", spec.mcThreads);
-    spec.engineActs = params.getUint("acts", spec.engineActs);
-    spec.seed = params.getUint("seed", spec.seed);
-    spec.trackerWarmupActs =
-        params.getUint("warmup", spec.trackerWarmupActs);
     spec.includeBaseline =
         params.getBool("baseline", spec.includeBaseline);
-    spec.record = params.getString("record", spec.record);
-    if (!spec.record.empty() && spec.jobCount() > 1) {
+    if (!spec.base.record.empty() && spec.jobCount() > 1) {
         // N jobs racing one trace file would interleave garbage;
         // capture-once-replay-many is two sweeps (record, then a
         // sources=act-trace grid).
         fatal("record=%s captures one ACT stream, but this sweep "
               "expands to %zu jobs; narrow the grid to a single job",
-              spec.record.c_str(), spec.jobCount());
+              spec.base.record.c_str(), spec.jobCount());
     }
-    spec.telemetry = params.getBool("telemetry", spec.telemetry);
-    spec.traceEvents =
-        params.getString("trace-events", spec.traceEvents);
-    spec.heatmapRegions =
-        params.getUint32("heatmap-regions", spec.heatmapRegions);
-    spec.traceCapacity =
-        params.getUint32("trace-capacity", spec.traceCapacity);
-    if (!spec.traceEvents.empty() && spec.jobCount() > 1) {
+    if (!spec.base.traceEvents.empty() && spec.jobCount() > 1) {
         // Same single-file rule as record=.
         fatal("trace-events=%s writes one trace file, but this sweep "
               "expands to %zu jobs; narrow the grid to a single job",
-              spec.traceEvents.c_str(), spec.jobCount());
+              spec.base.traceEvents.c_str(), spec.jobCount());
     }
     spec.failpoints =
         params.getString("failpoints", spec.failpoints);
-    spec.tracePipeline =
-        params.getString("trace-pipeline", spec.tracePipeline);
-    if (!spec.tracePipeline.empty() && !spec.tunables.has("trace")) {
+    if (!spec.base.tracePipeline.empty() &&
+        !spec.tunables.has("trace")) {
         // The pipeline materializes to the path the act-trace jobs
         // replay; without trace= there is nowhere to put it.
         fatal("trace-pipeline= needs trace=<path> (and "
@@ -321,23 +300,13 @@ SweepSpec::expand() const
         }
     };
 
-    auto base_spec = [this](const SweepCase &c) {
-        sim::ExperimentSpec spec;
+    auto case_spec = [this](const SweepCase &c) {
+        sim::ExperimentSpec spec = base;
         spec.workload = c.workload;
         spec.attack = c.attack;
-        spec.cores = cores;
-        spec.instrPerCore = instrPerCore;
-        spec.engineActs = engineActs;
-        spec.seed = seed;
-        spec.trackerWarmupActs = trackerWarmupActs;
         spec.warmupFromWorkload = (c.attack == "none");
-        spec.channels = channels;
-        spec.mcThreads = mcThreads;
-        spec.record = record;
-        spec.telemetry = telemetry;
-        spec.traceEvents = traceEvents;
-        spec.heatmapRegions = heatmapRegions;
-        spec.traceCapacity = traceCapacity;
+        // Composed once per sweep by the runner, never per job.
+        spec.tracePipeline.clear();
         return spec;
     };
     auto case_label = [](const SweepCase &c) {
@@ -349,8 +318,9 @@ SweepSpec::expand() const
     auto finish = [this, &jobs](Job job) {
         job.index = jobs.size();
         if (seedPolicy == SeedPolicy::PerJob) {
-            job.spec.seed = mixSeed(seed, job.index);
-            job.spec.schemeSeed = mixSeed(seed, job.index ^ 0x5eedull);
+            job.spec.seed = mixSeed(base.seed, job.index);
+            job.spec.schemeSeed =
+                mixSeed(base.seed, job.index ^ 0x5eedull);
         }
         jobs.push_back(std::move(job));
     };
@@ -358,8 +328,14 @@ SweepSpec::expand() const
     if (includeBaseline) {
         for (const SweepCase &c : grid_cases) {
             Job job;
-            job.spec = base_spec(c);
+            job.spec = case_spec(c);
             job.spec.scheme = "none";
+            // The baseline has always run at the default ad= and
+            // blast-radius=; keeping them keeps its describe(), and
+            // so every journal fingerprint, stable.
+            const sim::ExperimentSpec defaults;
+            job.spec.adTh = defaults.adTh;
+            job.spec.blastRadius = defaults.blastRadius;
             apply_tunables(job.spec);
             job.isBaseline = true;
             job.label = "none/" + case_label(c);
@@ -381,12 +357,10 @@ SweepSpec::expand() const
                     for (std::uint32_t shards : source_shards) {
                         for (const SweepCase &c : grid_cases) {
                             Job job;
-                            job.spec = base_spec(c);
+                            job.spec = case_spec(c);
                             job.spec.scheme = scheme;
                             job.spec.flipTh = flip;
                             job.spec.rfmTh = rfm;
-                            job.spec.adTh = adTh;
-                            job.spec.blastRadius = blastRadius;
                             job.spec.source = source;
                             job.spec.shards = shards;
                             apply_tunables(job.spec);

@@ -71,53 +71,28 @@ struct SweepSpec
      *  axis exists for scaling studies. */
     std::vector<std::uint32_t> shardsList;
 
-    std::uint32_t blastRadius = 1;
-    std::uint32_t adTh = 200;
-    std::uint32_t cores = 8;
-    std::uint64_t instrPerCore = 80000;
-    /** DRAM channel-count override for System jobs (power of two);
-     *  0 = the paper geometry. */
-    std::uint32_t channels = 0;
-    /** Worker threads for each System job's channel lanes; 0 = inherit
-     *  the SystemConfig default (inline). Results are byte-identical
-     *  at any value — this knob trades threads between the sweep pool
-     *  and the per-job frontend. */
-    std::uint32_t mcThreads = 0;
-    /** ACT budget per engine-only job (sources axis). */
-    std::uint64_t engineActs = 1000000;
-    std::uint64_t seed = 42;
+    /** Every job starts as a copy of this spec; expand() then sets
+     *  the axes, the baseline, warmupFromWorkload (benign runs warm
+     *  from the workload, attacked runs from the attacker, as in
+     *  Fig. 10) and the seed policy. fromParams() reads into it the
+     *  knobs the table marks as sweep scalars, with the same ranges
+     *  as a lone run. The sweep defaults are smaller than a lone
+     *  run's: cores=8, instr=80000.
+     *
+     *  Two knobs have sweep-wide meaning. base.tracePipeline composes
+     *  the replay corpus once, before any job runs (to the tunables'
+     *  trace= path), so no job carries it. base.record and
+     *  base.traceEvents name one file each, so fromParams() rejects
+     *  grids that expand to more than one job while they are set.
+     *  The capture-once-replay-many pattern is two sweeps: one
+     *  recording job, then a sources=act-trace trace=<path> grid. */
+    sim::ExperimentSpec base = [] {
+        sim::ExperimentSpec spec;
+        spec.cores = 8;
+        spec.instrPerCore = 80000;
+        return spec;
+    }();
     SeedPolicy seedPolicy = SeedPolicy::Shared;
-
-    /** Tracker warm-up budget per job; benign runs warm from the
-     *  workload, attacked runs from the attacker (as in Fig. 10). */
-    std::uint64_t trackerWarmupActs = 0;
-
-    /** Capture the job's ACT stream to this path
-     *  (mithril.acttrace.v1). One file — fromParams() rejects grids
-     *  that expand to more than one job. The capture-once-replay-many
-     *  pattern is two sweeps: one recording job, then a
-     *  sources=act-trace trace=<path> grid over every scheme. */
-    std::string record;
-
-    /** Compose the sweep's replay corpus once, before any job runs: a
-     *  trace-op pipeline (--list trace-ops) materialized to the
-     *  tunables' trace= path, which every sources=act-trace job then
-     *  replays. Jobs never carry this knob — one compose per sweep,
-     *  not one per grid point. */
-    std::string tracePipeline;
-
-    /** Collect the telemetry metric sheet + ACT heatmap on every job
-     *  (each job's flattened sheet lands in the sweep output's
-     *  per-job "telemetry" map). Observation only. */
-    bool telemetry = false;
-    /** Write a mitigation-event Chrome trace to this path. One file —
-     *  fromParams() rejects grids that expand to more than one job,
-     *  like record=. */
-    std::string traceEvents;
-    /** ACT heatmap region budget per bank (telemetry=1 jobs). */
-    std::uint32_t heatmapRegions = 64;
-    /** Mitigation-event ring capacity per bank (trace-events= jobs). */
-    std::uint32_t traceCapacity = 4096;
 
     /** Prepend one unprotected ("none") job per case, for
      *  normalizing relative performance and energy. */
@@ -143,15 +118,13 @@ struct SweepSpec
      * Build a spec from CLI-style parameters: comma-separated lists
      * `schemes=`, `flip=`, `rfm=`, `workloads=`, `attacks=`,
      * `sources=` (engine-only jobs), `shards=` (engine shard counts),
-     * scalars `cores=`, `instr=`, `acts=` (engine ACT budget),
-     * `channels=` and `mc-threads=` (System frontend geometry and
-     * lane threading), `seed=`, `ad=`, `warmup=`, `baseline=`,
-     * `seed-policy=shared|per-job`, and the telemetry knobs
-     * `telemetry=`, `trace-events=` (single-job grids only),
-     * `heatmap-regions=`, `trace-capacity=`, and the fault-injection
-     * knob `failpoints=`. Axis names resolve through the
-     * registries — an unknown name is fatal and lists every
-     * registered candidate. Keys declared by a selected registry
+     * the sweep's own `baseline=`, `seed-policy=shared|per-job` and
+     * `failpoints=`, and every ExperimentSpec knob the table marks as
+     * a sweep scalar (`cores=`, `instr=`, `seed=`, `channels=`,
+     * `telemetry=`, ... — see `base`). Axis names resolve through
+     * the registries — an unknown name is fatal and lists every
+     * registered candidate; an out-of-range scalar is fatal and
+     * names the legal range. Keys declared by a selected registry
      * entry (e.g. `victims=` with a multi-sided attack) are forwarded
      * to the matching jobs; any other unknown key is fatal — a typo'd
      * axis must not silently run the default grid. Callers owning

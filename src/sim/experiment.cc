@@ -13,6 +13,7 @@
 #include "registry/workload_registry.hh"
 #include "runner/thread_pool.hh"
 #include "telemetry/chrome_trace.hh"
+#include "telemetry/exports.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/pipeline.hh"
 
@@ -365,48 +366,26 @@ runExperiment(const ExperimentSpec &spec)
     if (system.tracker(0))
         m.trackerBytesPerBank = system.tracker(0)->tableBytesPerBank();
 
+    // Detach the per-channel recorders; the metric sheet and the
+    // Chrome trace both read them in channel order.
+    std::vector<const telemetry::EventRecorder *> recorders;
+    for (std::uint32_t ch = 0; ch < events.size(); ++ch) {
+        system.controller(ch).setEventRecorder(nullptr);
+        system.device(ch).oracle().setEventRecorder(nullptr);
+        if (system.tracker(ch))
+            system.tracker(ch)->setEventRecorder(nullptr);
+        recorders.push_back(events[ch].get());
+    }
     if (spec.telemetry || !events.empty()) {
         telemetry::MetricSheet sheet;
-        sheet.setCounter("mc.acts", stats.activates);
-        sheet.setCounter("mc.reads", stats.reads);
-        sheet.setCounter("mc.writes", stats.writes);
-        sheet.setCounter("mc.row_hits", stats.rowHits);
-        sheet.setCounter("mc.row_misses", stats.rowMisses);
-        sheet.setCounter("mc.refreshes", stats.refreshes);
-        sheet.setCounter("mc.rfm_issued", stats.rfmIssued);
-        sheet.setCounter("mc.rfm_skipped_mrr", stats.rfmSkippedByMrr);
-        sheet.setCounter("mc.arr_executed", stats.arrExecuted);
-        sheet.setCounter("mc.throttle_stalls", stats.throttleStalls);
-        sheet.setCounter("oracle.bit_flips", system.bitFlips());
-        sheet.setCounter("oracle.flipped_rows", system.flippedRows());
-        sheet.setGauge("oracle.max_disturbance",
-                       system.maxDisturbanceEver());
-        if (!events.empty()) {
-            std::uint64_t emitted = 0, dropped = 0;
-            for (const auto &rec : events) {
-                for (BankId b = 0; b < rec->numBanks(); ++b)
-                    emitted += rec->emitted(b);
-                dropped += rec->dropped();
-            }
-            sheet.setCounter("trace.emitted", emitted);
-            sheet.setCounter("trace.dropped", dropped);
-        }
-        if (heatmap) {
-            sheet.setCounter("heatmap.acts", heatmap->totalActs());
-            std::uint64_t folds = 0, regions = 0;
-            std::uint32_t max_gran = 0;
-            for (BankId b = 0; b < heatmap->numBanks(); ++b) {
-                folds += heatmap->folds(b);
-                max_gran = std::max(max_gran,
-                                    heatmap->granularityLog2(b));
-            }
-            for (const auto &snap : heatmap->snapshot())
-                regions += snap.regions.size();
-            sheet.setCounter("heatmap.folds", folds);
-            sheet.setCounter("heatmap.regions", regions);
-            sheet.setGauge("heatmap.max_granularity_log2",
-                           static_cast<double>(max_gran));
-        }
+        telemetry::exportControllerStats(sheet, stats);
+        telemetry::exportOracle(sheet, system.bitFlips(),
+                                system.flippedRows(),
+                                system.maxDisturbanceEver());
+        if (!events.empty())
+            telemetry::exportEventCounts(sheet, recorders);
+        if (heatmap)
+            telemetry::exportHeatmap(sheet, *heatmap);
         if (system.tracker(0)) {
             // exportMetrics() *sets* values, so each channel's tracker
             // exports into its own sheet; mergeFrom then adds counters
@@ -420,16 +399,8 @@ runExperiment(const ExperimentSpec &spec)
         m.telemetry = sheet.exportFlat();
     }
     if (!events.empty()) {
-        std::vector<const telemetry::EventRecorder *> merged;
-        for (std::uint32_t ch = 0; ch < system.channels(); ++ch) {
-            system.controller(ch).setEventRecorder(nullptr);
-            system.device(ch).oracle().setEventRecorder(nullptr);
-            if (system.tracker(ch))
-                system.tracker(ch)->setEventRecorder(nullptr);
-            merged.push_back(events[ch].get());
-        }
         telemetry::writeChromeTraceFile(
-            spec.traceEvents, telemetry::mergeEvents(merged),
+            spec.traceEvents, telemetry::mergeEvents(recorders),
             spec.scheme, sys.geometry.totalBanks());
     }
     return m;

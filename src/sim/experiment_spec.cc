@@ -1,7 +1,8 @@
 #include "sim/experiment_spec.hh"
 
 #include <algorithm>
-#include <map>
+#include <type_traits>
+#include <variant>
 
 #include "common/logging.hh"
 #include "registry/attack_registry.hh"
@@ -18,73 +19,149 @@ namespace
 using registry::ParamDesc;
 using registry::SpecError;
 
-/** The spec-owned keys with their legal ranges. */
-const std::vector<ParamDesc> &
-coreParams()
+/** Numeric range that admits every uint64 (seeds are never
+ *  range-limited). */
+constexpr double kAnyU64 = 18446744073709551615.0;
+
+enum KnobFlags : unsigned
 {
-    static const std::vector<ParamDesc> descs = {
-        {"scheme", ParamDesc::Type::String, "mithril", 0, 0,
-         "protection scheme registry name"},
-        {"workload", ParamDesc::Type::String, "mix-high", 0, 0,
-         "workload registry name"},
-        {"attack", ParamDesc::Type::String, "none", 0, 0,
-         "attack registry name"},
-        {"flip", ParamDesc::Type::Uint, "6250", 1, 1e7,
-         "RH threshold (FlipTH)"},
-        {"rfm", ParamDesc::Type::Uint, "0", 0, 1e5,
-         "RFM threshold (0 = scheme default)"},
-        {"ad", ParamDesc::Type::Uint, "200", 0, 1e6,
-         "Mithril adaptive refresh threshold"},
-        {"blast-radius", ParamDesc::Type::Uint, "1", 1, 4,
-         "non-adjacent RH radius"},
-        {"scheme-seed", ParamDesc::Type::Uint, "7", 0, 1.8e19,
-         "scheme-internal RNG seed"},
-        {"cores", ParamDesc::Type::Uint, "16", 1, 1024,
-         "total cores (one becomes the attacker when attacking)"},
-        {"instr", ParamDesc::Type::Uint, "200000", 1, 1e12,
-         "instruction budget per benign core"},
-        {"seed", ParamDesc::Type::Uint, "42", 0, 1.8e19,
-         "workload RNG seed"},
-        {"warmup", ParamDesc::Type::Uint, "0", 0, 1e12,
-         "tracker warm-up activations before the measured run"},
-        {"warmup-from-workload", ParamDesc::Type::Bool, "0", 0, 0,
-         "warm the tracker from the benign streams"},
-        {"source", ParamDesc::Type::String, "none", 0, 0,
-         "engine ActSource registry name (none = full-System run)"},
-        {"record", ParamDesc::Type::String, "", 0, 0,
-         "capture the run's ACT stream to this path "
-         "(mithril.acttrace.v1; replay with source=act-trace)"},
-        {"trace-pipeline", ParamDesc::Type::String, "", 0, 0,
-         "compose the replay corpus first: trace-op pipeline "
-         "(--list trace-ops) materialized to the trace= path, then "
-         "replayed via source=act-trace"},
-        {"telemetry", ParamDesc::Type::Bool, "0", 0, 0,
-         "collect the telemetry metric sheet + ACT heatmap "
-         "(observation only; never affects outcomes)"},
-        {"trace-events", ParamDesc::Type::String, "", 0, 0,
-         "write the mitigation-event trace to this path as Chrome "
-         "trace-event JSON (Perfetto-loadable)"},
-        {"heatmap-regions", ParamDesc::Type::Uint, "64", 1, 65536,
-         "ACT heatmap region budget per bank (power-of-two "
-         "coarsening at budget)"},
-        {"trace-capacity", ParamDesc::Type::Uint, "4096", 1, 1e8,
-         "mitigation-event ring capacity per bank (newest retained)"},
-        {"acts", ParamDesc::Type::Uint, "1000000", 1, 1e12,
-         "ACT budget of an engine (source=) run"},
-        {"shards", ParamDesc::Type::Uint, "0", 0, 65536,
-         "engine bank shards (0 = one per channel); never affects "
-         "results, only parallelism"},
-        {"threads", ParamDesc::Type::Uint, "0", 0, 1024,
-         "worker threads for a standalone engine run (0 = ambient "
-         "pool / inline)"},
-        {"channels", ParamDesc::Type::Uint, "0", 0, 64,
-         "DRAM channels (0 = geometry preset; must be a power of "
-         "two); System runs build one frontend lane per channel"},
-        {"mc-threads", ParamDesc::Type::Uint, "0", 0, 1024,
-         "worker threads for the System's channel lanes (0/1 = "
-         "inline); never affects results, only wall-clock"},
+    /** toParams() omits the knob while it equals a default-built
+     *  spec's value, so the describe() of a run that leaves it alone
+     *  predates the knob. */
+    kQuiet = 1,
+    /** A sweep takes the knob as one scalar for all of its jobs. */
+    kSweep = 2,
+};
+
+/** One spec-owned knob: the ParamDesc readers check against (its
+ *  default rendered from a default-built spec), the member it binds
+ *  and its KnobFlags. */
+struct Knob
+{
+    using Member =
+        std::variant<std::string ExperimentSpec::*,
+                     std::uint32_t ExperimentSpec::*,
+                     std::uint64_t ExperimentSpec::*,
+                     bool ExperimentSpec::*>;
+
+    ParamDesc desc;
+    Member member;
+    unsigned flags;
+};
+
+const ExperimentSpec &
+defaults()
+{
+    static const ExperimentSpec spec;
+    return spec;
+}
+
+template <typename T>
+std::string
+render(const T &value)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return value;
+    else if constexpr (std::is_same_v<T, bool>)
+        return value ? "1" : "0";
+    else
+        return std::to_string(value);
+}
+
+/** A table row; strings and booleans pass a [0, 0] range. */
+template <typename T>
+Knob
+knob(const char *key, T ExperimentSpec::*member, double min, double max,
+     unsigned flags, const char *help)
+{
+    ParamDesc::Type type = ParamDesc::Type::Uint;
+    if constexpr (std::is_same_v<T, std::string>)
+        type = ParamDesc::Type::String;
+    else if constexpr (std::is_same_v<T, bool>)
+        type = ParamDesc::Type::Bool;
+    return {{key, type, render(defaults().*member), min, max, help},
+            member,
+            flags};
+}
+
+/** The knob table: the one place a spec-owned knob is declared. */
+const std::vector<Knob> &
+knobs()
+{
+    using S = ExperimentSpec;
+    static const std::vector<Knob> table = {
+        knob("scheme", &S::scheme, 0, 0, 0,
+             "protection scheme registry name"),
+        knob("workload", &S::workload, 0, 0, 0,
+             "workload registry name"),
+        knob("attack", &S::attack, 0, 0, 0, "attack registry name"),
+        knob("source", &S::source, 0, 0, 0,
+             "engine ActSource registry name (none = full-System run)"),
+        knob("flip", &S::flipTh, 1, 1e7, 0, "RH threshold (FlipTH)"),
+        knob("rfm", &S::rfmTh, 0, 1e5, 0,
+             "RFM threshold (0 = scheme default)"),
+        knob("ad", &S::adTh, 0, 1e6, kSweep,
+             "Mithril adaptive refresh threshold"),
+        knob("blast-radius", &S::blastRadius, 1, 4, kSweep,
+             "non-adjacent RH radius"),
+        knob("scheme-seed", &S::schemeSeed, 0, kAnyU64, 0,
+             "scheme-internal RNG seed"),
+        knob("cores", &S::cores, 1, 1024, kSweep,
+             "total cores (one becomes the attacker when attacking)"),
+        knob("instr", &S::instrPerCore, 1, 1e12, kSweep,
+             "instruction budget per benign core"),
+        knob("seed", &S::seed, 0, kAnyU64, kSweep, "workload RNG seed"),
+        knob("warmup", &S::trackerWarmupActs, 0, 1e12, kSweep,
+             "tracker warm-up activations before the measured run"),
+        knob("warmup-from-workload", &S::warmupFromWorkload, 0, 0, 0,
+             "warm the tracker from the benign streams"),
+        knob("record", &S::record, 0, 0, kQuiet | kSweep,
+             "capture the run's ACT stream to this path "
+             "(mithril.acttrace.v1; replay with source=act-trace)"),
+        knob("trace-pipeline", &S::tracePipeline, 0, 0, kQuiet | kSweep,
+             "compose the replay corpus first: trace-op pipeline "
+             "(--list trace-ops) materialized to the trace= path, "
+             "then replayed via source=act-trace"),
+        knob("telemetry", &S::telemetry, 0, 0, kQuiet | kSweep,
+             "collect the telemetry metric sheet + ACT heatmap "
+             "(observation only; never affects outcomes)"),
+        knob("trace-events", &S::traceEvents, 0, 0, kQuiet | kSweep,
+             "write the mitigation-event trace to this path as Chrome "
+             "trace-event JSON (Perfetto-loadable)"),
+        knob("heatmap-regions", &S::heatmapRegions, 1, 65536,
+             kQuiet | kSweep,
+             "ACT heatmap region budget per bank (power-of-two "
+             "coarsening at budget)"),
+        knob("trace-capacity", &S::traceCapacity, 1, 1e8,
+             kQuiet | kSweep,
+             "mitigation-event ring capacity per bank (newest "
+             "retained)"),
+        knob("acts", &S::engineActs, 1, 1e12, kSweep,
+             "ACT budget of an engine (source=) run"),
+        knob("shards", &S::shards, 0, 65536, 0,
+             "engine bank shards (0 = one per channel); never affects "
+             "results, only parallelism"),
+        knob("threads", &S::threads, 0, 1024, 0,
+             "worker threads for a standalone engine run (0 = ambient "
+             "pool / inline)"),
+        knob("channels", &S::channels, 0, 64, kQuiet | kSweep,
+             "DRAM channels (0 = geometry preset; must be a power of "
+             "two); System runs build one frontend lane per channel"),
+        knob("mc-threads", &S::mcThreads, 0, 1024, kQuiet | kSweep,
+             "worker threads for the System's channel lanes (0/1 = "
+             "inline); never affects results, only wall-clock"),
     };
-    return descs;
+    return table;
+}
+
+const Knob *
+findKnob(const std::string &key)
+{
+    for (const Knob &k : knobs()) {
+        if (k.desc.key == key)
+            return &k;
+    }
+    return nullptr;
 }
 
 const ParamDesc *
@@ -129,57 +206,95 @@ findEntryParam(const registry::SchemeRegistry::Entry &scheme_entry,
     return nullptr;
 }
 
-/** Range-check one core knob against its coreParams() desc — the
- *  single place the legal ranges live. */
-void
-checkCoreRange(const char *key, std::uint64_t value)
+} // namespace
+
+bool
+ExperimentSpec::isKnob(const std::string &key, KnobSet set)
 {
-    const ParamDesc *desc = findDesc(coreParams(), key);
-    MITHRIL_ASSERT(desc != nullptr);
-    const auto min = static_cast<std::uint64_t>(desc->min);
-    const auto max = static_cast<std::uint64_t>(desc->max);
-    if (value < min || value > max) {
-        throw SpecError(std::string(key) + "=" +
-                        std::to_string(value) +
-                        " is out of range [" + std::to_string(min) +
-                        ", " + std::to_string(max) + "]");
+    const Knob *k = findKnob(key);
+    return k && (set == KnobSet::All || (k->flags & kSweep));
+}
+
+void
+ExperimentSpec::readKnobs(const ParamSet &params, KnobSet set)
+{
+    for (const Knob &k : knobs()) {
+        const std::string &key = k.desc.key;
+        if (!params.has(key) ||
+            (set == KnobSet::SweepScalars && !(k.flags & kSweep)))
+            continue;
+        std::visit(
+            [&](auto member) {
+                auto &value = this->*member;
+                using T = std::decay_t<decltype(value)>;
+                if constexpr (std::is_same_v<T, std::string>)
+                    value = params.getString(key);
+                else if constexpr (std::is_same_v<T, bool>)
+                    value = params.getBool(key);
+                else if constexpr (std::is_same_v<T, std::uint32_t>)
+                    value = params.getUint32(key);
+                else
+                    value = params.getUint(key);
+            },
+            k.member);
     }
 }
 
-} // namespace
+void
+ExperimentSpec::checkRanges() const
+{
+    for (const Knob &k : knobs()) {
+        std::visit(
+            [&](auto member) {
+                using T = std::decay_t<decltype(this->*member)>;
+                if constexpr (std::is_same_v<T, std::uint32_t> ||
+                              std::is_same_v<T, std::uint64_t>) {
+                    const auto value = static_cast<double>(this->*member);
+                    if (value < k.desc.min || value > k.desc.max) {
+                        throw SpecError(
+                            k.desc.key + "=" + render(this->*member) +
+                            " is out of range [" +
+                            render(static_cast<std::uint64_t>(
+                                k.desc.min)) +
+                            ", " +
+                            render(static_cast<std::uint64_t>(
+                                k.desc.max)) +
+                            "]");
+                    }
+                }
+            },
+            k.member);
+    }
+    if (channels != 0 && (channels & (channels - 1)) != 0) {
+        throw SpecError("channels=" + std::to_string(channels) +
+                        " must be a power of two (the address map "
+                        "interleaves by channel bits)");
+    }
+}
 
 ExperimentSpec
 ExperimentSpec::parse(const ParamSet &params,
                       const std::vector<std::string> &ignore_keys)
 {
     ExperimentSpec spec;
-    spec.scheme = params.getString("scheme", spec.scheme);
-    spec.workload = params.getString("workload", spec.workload);
-    spec.attack = params.getString("attack", spec.attack);
-    spec.source = params.getString("source", spec.source);
 
     // Resolve the selected entries first so every later error can cite
-    // them — and so aliases canonicalize before anything is stored.
-    const auto &scheme_entry =
-        registry::schemeRegistry().at(spec.scheme);
-    const auto &workload_entry =
-        registry::workloadRegistry().at(spec.workload);
-    const auto &attack_entry =
-        registry::attackRegistry().at(spec.attack);
-    const registry::SourceRegistry::Entry *source_entry = nullptr;
-    if (spec.source != "none") {
-        source_entry = &registry::sourceRegistry().at(spec.source);
-        spec.source = source_entry->name;
-    }
-    spec.scheme = scheme_entry.name;
-    spec.workload = workload_entry.name;
-    spec.attack = attack_entry.name;
+    // them.
+    const auto &scheme_entry = registry::schemeRegistry().at(
+        params.getString("scheme", spec.scheme));
+    const auto &workload_entry = registry::workloadRegistry().at(
+        params.getString("workload", spec.workload));
+    const auto &attack_entry = registry::attackRegistry().at(
+        params.getString("attack", spec.attack));
+    const std::string source = params.getString("source", spec.source);
+    const registry::SourceRegistry::Entry *source_entry =
+        source != "none" ? &registry::sourceRegistry().at(source)
+                         : nullptr;
 
     // Reject unknown keys before reading anything: a typo'd knob must
-    // not silently run the default configuration. Value range checks
-    // happen in the validate() call below.
+    // not silently run the default configuration.
     for (const std::string &key : params.keys()) {
-        if (findDesc(coreParams(), key))
+        if (isKnob(key))
             continue;
         if (std::find(ignore_keys.begin(), ignore_keys.end(), key) !=
             ignore_keys.end())
@@ -189,8 +304,8 @@ ExperimentSpec::parse(const ParamSet &params,
                             attack_entry, source_entry, key,
                             &owner)) {
             std::vector<std::string> known;
-            for (const ParamDesc &d : coreParams())
-                known.push_back(d.key);
+            for (const Knob &k : knobs())
+                known.push_back(k.desc.key);
             for (const auto *entry_params :
                  {&scheme_entry.params, &workload_entry.params,
                   &attack_entry.params}) {
@@ -208,37 +323,14 @@ ExperimentSpec::parse(const ParamSet &params,
         spec.extras.set(key, params.getString(key));
     }
 
-    // strtoull-level format errors in the numeric knobs below stay
-    // fatal() (ParamSet semantics); range errors throw SpecError via
-    // validate().
-    spec.flipTh = params.getUint32("flip", spec.flipTh);
-    spec.rfmTh = params.getUint32("rfm", spec.rfmTh);
-    spec.adTh = params.getUint32("ad", spec.adTh);
-    spec.blastRadius =
-        params.getUint32("blast-radius", spec.blastRadius);
-    spec.schemeSeed = params.getUint("scheme-seed", spec.schemeSeed);
-    spec.cores = params.getUint32("cores", spec.cores);
-    spec.instrPerCore = params.getUint("instr", spec.instrPerCore);
-    spec.seed = params.getUint("seed", spec.seed);
-    spec.trackerWarmupActs =
-        params.getUint("warmup", spec.trackerWarmupActs);
-    spec.warmupFromWorkload = params.getBool(
-        "warmup-from-workload", spec.warmupFromWorkload);
-    spec.record = params.getString("record", spec.record);
-    spec.tracePipeline =
-        params.getString("trace-pipeline", spec.tracePipeline);
-    spec.telemetry = params.getBool("telemetry", spec.telemetry);
-    spec.traceEvents =
-        params.getString("trace-events", spec.traceEvents);
-    spec.heatmapRegions =
-        params.getUint32("heatmap-regions", spec.heatmapRegions);
-    spec.traceCapacity =
-        params.getUint32("trace-capacity", spec.traceCapacity);
-    spec.engineActs = params.getUint("acts", spec.engineActs);
-    spec.shards = params.getUint32("shards", spec.shards);
-    spec.threads = params.getUint32("threads", spec.threads);
-    spec.channels = params.getUint32("channels", spec.channels);
-    spec.mcThreads = params.getUint32("mc-threads", spec.mcThreads);
+    // Format errors are fatal() here (ParamSet semantics); range
+    // errors throw SpecError via validate().
+    spec.readKnobs(params);
+    spec.scheme = scheme_entry.name;
+    spec.workload = workload_entry.name;
+    spec.attack = attack_entry.name;
+    if (source_entry)
+        spec.source = source_entry->name;
     spec.validate();
     return spec;
 }
@@ -266,25 +358,7 @@ ExperimentSpec::validate() const
         source != "none" ? &registry::sourceRegistry().at(source)
                          : nullptr;
 
-    checkCoreRange("flip", flipTh);
-    checkCoreRange("rfm", rfmTh);
-    checkCoreRange("ad", adTh);
-    checkCoreRange("blast-radius", blastRadius);
-    checkCoreRange("cores", cores);
-    checkCoreRange("instr", instrPerCore);
-    checkCoreRange("warmup", trackerWarmupActs);
-    checkCoreRange("acts", engineActs);
-    checkCoreRange("shards", shards);
-    checkCoreRange("threads", threads);
-    checkCoreRange("heatmap-regions", heatmapRegions);
-    checkCoreRange("trace-capacity", traceCapacity);
-    checkCoreRange("channels", channels);
-    checkCoreRange("mc-threads", mcThreads);
-    if (channels != 0 && (channels & (channels - 1)) != 0) {
-        throw SpecError("channels=" + std::to_string(channels) +
-                        " must be a power of two (the address map "
-                        "interleaves by channel bits)");
-    }
+    checkRanges();
     if (attacking() && !engineRun() && cores < 2) {
         throw SpecError("attack '" + attack +
                         "' needs cores >= 2 (one core becomes the "
@@ -322,43 +396,16 @@ ParamSet
 ExperimentSpec::toParams() const
 {
     ParamSet params;
-    params.set("scheme", scheme);
-    params.set("workload", workload);
-    params.set("attack", attack);
-    params.set("flip", std::to_string(flipTh));
-    params.set("rfm", std::to_string(rfmTh));
-    params.set("ad", std::to_string(adTh));
-    params.set("blast-radius", std::to_string(blastRadius));
-    params.set("scheme-seed", std::to_string(schemeSeed));
-    params.set("cores", std::to_string(cores));
-    params.set("instr", std::to_string(instrPerCore));
-    params.set("seed", std::to_string(seed));
-    params.set("warmup", std::to_string(trackerWarmupActs));
-    params.set("warmup-from-workload",
-               warmupFromWorkload ? "1" : "0");
-    // The capture path is off by default; like the extras it only
-    // appears when set, so existing describe() goldens are stable.
-    if (!record.empty())
-        params.set("record", record);
-    if (!tracePipeline.empty())
-        params.set("trace-pipeline", tracePipeline);
-    // Telemetry knobs follow the same non-default-only discipline.
-    if (telemetry)
-        params.set("telemetry", "1");
-    if (!traceEvents.empty())
-        params.set("trace-events", traceEvents);
-    if (heatmapRegions != 64)
-        params.set("heatmap-regions", std::to_string(heatmapRegions));
-    if (traceCapacity != 4096)
-        params.set("trace-capacity", std::to_string(traceCapacity));
-    if (channels != 0)
-        params.set("channels", std::to_string(channels));
-    if (mcThreads != 0)
-        params.set("mc-threads", std::to_string(mcThreads));
-    params.set("source", source);
-    params.set("acts", std::to_string(engineActs));
-    params.set("shards", std::to_string(shards));
-    params.set("threads", std::to_string(threads));
+    for (const Knob &k : knobs()) {
+        std::visit(
+            [&](auto member) {
+                if ((k.flags & kQuiet) &&
+                    this->*member == defaults().*member)
+                    return;
+                params.set(k.desc.key, render(this->*member));
+            },
+            k.member);
+    }
     for (const std::string &key : extras.keys())
         params.set(key, extras.getString(key));
     return params;

@@ -11,6 +11,13 @@
  *                            "workload=mix-high attack=none"));
  *   sim::RunMetrics m = sim::runExperiment(spec);
  *
+ * Every spec-owned knob is declared once, in the knob table of
+ * experiment_spec.cc: key, bound member, legal range, help line,
+ * whether toParams() omits it at its default, and whether a sweep
+ * takes it as a scalar. The default itself is the member initializer
+ * below. parse(), validate(), toParams() and the sweep front end
+ * (runner::SweepSpec) all read that table.
+ *
  * Validation is eager: unknown scheme/workload/attack names throw
  * registry::SpecError listing every registered name, out-of-range
  * knobs report the legal range, and a key neither owned by the spec
@@ -142,6 +149,32 @@ struct ExperimentSpec
     parse(const ParamSet &params,
           const std::vector<std::string> &ignore_keys = {});
 
+    /** Which knobs of the table a reader takes: all of them, or the
+     *  scalars a sweep applies to every job (runner::SweepSpec sets
+     *  the axes, threads=, scheme-seed= and warmup-from-workload=
+     *  per job itself). */
+    enum class KnobSet
+    {
+        All,
+        SweepScalars,
+    };
+
+    /** True when `key` names a table knob in `set`. */
+    static bool isKnob(const std::string &key,
+                       KnobSet set = KnobSet::All);
+
+    /**
+     * Store the `set` knobs that `params` carries, verbatim: registry
+     * names are not canonicalized and nothing is range-checked (see
+     * checkRanges()). A malformed number or boolean is fatal
+     * (ParamSet semantics).
+     */
+    void readKnobs(const ParamSet &params, KnobSet set = KnobSet::All);
+
+    /** Check every numeric knob against its legal range, and that
+     *  channels is a power of two. Throws registry::SpecError. */
+    void checkRanges() const;
+
     /** As parse(), but fatal() on invalid input (CLI front ends). */
     static ExperimentSpec
     fromParams(const ParamSet &params,
@@ -149,8 +182,10 @@ struct ExperimentSpec
 
     /**
      * Re-validate a (possibly hand-built) spec: registry names exist,
-     * numeric knobs are in range, extras are declared by the selected
-     * entries. Throws registry::SpecError.
+     * checkRanges() holds, the cross-knob rules hold (an attack needs
+     * two cores, trace-pipeline= needs an act-trace replay), and the
+     * extras are declared by the selected entries. Throws
+     * registry::SpecError.
      */
     void validate() const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "telemetry/exports.hh"
 
 namespace mithril::sim
 {
@@ -419,45 +420,34 @@ System::snapshotTrackerOps()
 }
 
 void
-System::exportStats(StatRegistry &registry) const
+System::exportStats(telemetry::MetricSheet &sheet) const
 {
     const mc::ControllerStats mc = stats();
-    registry.counter("mc.reads").set(mc.reads);
-    registry.counter("mc.writes").set(mc.writes);
-    registry.counter("mc.rowHits").set(mc.rowHits);
-    registry.counter("mc.rowMisses").set(mc.rowMisses);
-    registry.counter("mc.activates").set(mc.activates);
-    registry.counter("mc.precharges").set(mc.precharges);
-    registry.counter("mc.refreshes").set(mc.refreshes);
-    registry.counter("mc.rfmIssued").set(mc.rfmIssued);
-    registry.counter("mc.rfmSkippedByMrr").set(mc.rfmSkippedByMrr);
-    registry.counter("mc.arrExecuted").set(mc.arrExecuted);
-    registry.counter("mc.throttleStalls").set(mc.throttleStalls);
-    registry.average("mc.readLatencyNs").sample(mc.avgReadLatencyNs());
+    telemetry::exportControllerStats(sheet, mc);
+    sheet.setCounter("mc.precharges", mc.precharges);
+    sheet.setGauge("mc.read_lat_avg_ns", mc.avgReadLatencyNs());
 
     const dram::EnergyMeter em = energy();
-    registry.counter("dram.acts").set(em.acts());
-    registry.counter("dram.pres").set(em.pres());
-    registry.counter("dram.refreshRows").set(em.refreshRows());
-    registry.counter("dram.preventiveRows").set(em.preventiveRows());
-    registry.counter("dram.rfmCount").set(rfmCount());
-    registry.counter("dram.rfmSkipped").set(rfmSkipped());
+    sheet.setCounter("dram.acts", em.acts());
+    sheet.setCounter("dram.pres", em.pres());
+    sheet.setCounter("dram.refresh_rows", em.refreshRows());
+    sheet.setCounter("dram.preventive_rows", em.preventiveRows());
+    sheet.setCounter("dram.rfm_count", rfmCount());
+    sheet.setCounter("dram.rfm_skipped", rfmSkipped());
 
-    registry.counter("cache.hits").set(cache_->hits());
-    registry.counter("cache.misses").set(cache_->misses());
-    registry.counter("cache.writebacks").set(cache_->writebacks());
+    sheet.setCounter("cache.hits", cache_->hits());
+    sheet.setCounter("cache.misses", cache_->misses());
+    sheet.setCounter("cache.writebacks", cache_->writebacks());
 
-    registry.counter("rh.bitFlips").set(bitFlips());
-    registry.counter("rh.flippedRows").set(flippedRows());
-    registry.counter("rh.maxDisturbance")
-        .set(static_cast<std::uint64_t>(maxDisturbanceEver()));
+    telemetry::exportOracle(sheet, bitFlips(), flippedRows(),
+                            maxDisturbanceEver());
 
     for (const auto &core : cores_) {
         const std::string prefix =
             "core" + std::to_string(core->id());
-        registry.counter(prefix + ".instructions")
-            .set(core->instructionsRetired());
-        registry.average(prefix + ".ipc").sample(core->ipc());
+        sheet.setCounter(prefix + ".instructions",
+                         core->instructionsRetired());
+        sheet.setGauge(prefix + ".ipc", core->ipc());
     }
 }
 

@@ -25,13 +25,13 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "cpu/cache.hh"
 #include "cpu/core.hh"
 #include "dram/device.hh"
 #include "mc/controller.hh"
 #include "runner/thread_pool.hh"
 #include "sim/event_queue.hh"
+#include "telemetry/metric_sheet.hh"
 #include "trackers/rh_protection.hh"
 #include "workload/trace.hh"
 
@@ -145,12 +145,13 @@ class System
     void snapshotTrackerOps();
 
     /**
-     * Export every component's counters into a registry under dotted
-     * names (mc.*, dram.*, cache.*, core<N>.*, rh.*) for uniform
+     * Export every component's counters into a metric sheet under
+     * the snake_case names runExperiment's telemetry uses (mc.*,
+     * oracle.*), plus dram.*, cache.* and core<N>.*, for uniform
      * reporting and regression diffing. Memory-side counters are the
      * cross-channel merged values.
      */
-    void exportStats(StatRegistry &registry) const;
+    void exportStats(telemetry::MetricSheet &sheet) const;
 
   private:
     /** One channel's frontend: its controller, its Device partition

@@ -988,7 +988,7 @@ TEST(ActTraceRunner, CorruptTraceFailsItsJobNotTheSweep)
     spec.schemes = {"mithril", "para"};
     spec.sources = {"act-trace"};
     spec.tunables.set("trace", path);
-    spec.engineActs = 1000;
+    spec.base.engineActs = 1000;
 
     runner::RunnerOptions options;
     options.jobs = 1;

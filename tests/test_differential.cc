@@ -17,7 +17,7 @@
 #include "core/bounds.hh"
 #include "core/cbs_table.hh"
 #include "core/mithril.hh"
-#include "sim/act_harness.hh"
+#include "engine/act_stream_engine.hh"
 
 namespace mithril::core
 {
@@ -267,23 +267,23 @@ TEST(HarnessCadence, RfmAndRefCountsMatchClosedForm)
     params.rfmTh = 32;
     Mithril tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 1u << 30;
-    sim::ActHarness harness(cfg, &tracker);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30),
+        &tracker);
 
     const std::uint64_t acts = 200000;
-    harness.run(acts, [](std::uint64_t i) {
+    engine::CallbackSource source(acts, [](std::uint64_t i) {
         return static_cast<RowId>(i % 97);
     });
+    eng.run(source);
 
-    EXPECT_EQ(harness.rfms(), acts / params.rfmTh);
+    EXPECT_EQ(eng.rfms(), acts / params.rfmTh);
     // Elapsed time ~= acts*tRC + rfms*tRFM + refs*tRFC; REF count must
     // equal elapsed/tREFI within one.
-    const double elapsed = static_cast<double>(harness.now());
+    const double elapsed = static_cast<double>(eng.now());
     const double expect_refs =
         elapsed / static_cast<double>(timing.tREFI);
-    EXPECT_NEAR(static_cast<double>(harness.refs()), expect_refs, 1.5);
+    EXPECT_NEAR(static_cast<double>(eng.refs()), expect_refs, 1.5);
 }
 
 TEST(HarnessCadence, WindowIntervalsMatchesHarnessTime)
@@ -297,19 +297,18 @@ TEST(HarnessCadence, WindowIntervalsMatchesHarnessTime)
     params.rfmTh = 64;
     Mithril tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 1u << 30;
-    sim::ActHarness harness(cfg, &tracker);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30),
+        &tracker);
 
     std::uint64_t acts = 0;
-    while (harness.now() < timing.tREFW) {
-        harness.activate(static_cast<RowId>(acts % 131));
+    while (eng.now() < timing.tREFW) {
+        eng.activate(0, static_cast<RowId>(acts % 131));
         ++acts;
     }
     const double w = static_cast<double>(
         core::windowIntervals(timing, params.rfmTh));
-    EXPECT_NEAR(static_cast<double>(harness.rfms()), w, w * 0.01);
+    EXPECT_NEAR(static_cast<double>(eng.rfms()), w, w * 0.01);
 }
 
 } // namespace

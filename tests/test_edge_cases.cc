@@ -16,9 +16,9 @@
 #include "core/mithril.hh"
 #include "dram/bank.hh"
 #include "dram/rh_oracle.hh"
+#include "engine/act_stream_engine.hh"
 #include "mc/address_map.hh"
 #include "registry/scheme_registry.hh"
-#include "sim/act_harness.hh"
 
 namespace mithril
 {
@@ -184,13 +184,13 @@ TEST(EdgeAddressMap, NonPowerOfTwoGeometryPanics)
 
 TEST(EdgeHarness, ZeroActsRunIsClean)
 {
-    sim::ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 1000;
-    sim::ActHarness harness(cfg, nullptr);
-    harness.run(0, [](std::uint64_t) { return RowId{0}; });
-    EXPECT_EQ(harness.acts(), 0u);
-    EXPECT_EQ(harness.now(), 0);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 1000),
+        nullptr);
+    engine::CallbackSource source(0, [](std::uint64_t) { return RowId{0}; });
+    eng.run(source);
+    EXPECT_EQ(eng.acts(), 0u);
+    EXPECT_EQ(eng.now(), 0);
 }
 
 TEST(EdgeMithril, RfmThOneDegenerate)
@@ -201,15 +201,16 @@ TEST(EdgeMithril, RfmThOneDegenerate)
     params.rfmTh = 1;
     core::Mithril tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 16;  // Absurdly fragile DRAM.
-    sim::ActHarness harness(cfg, &tracker);
-    harness.run(5000, [](std::uint64_t i) {
+    // Absurdly fragile DRAM.
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 16),
+        &tracker);
+    engine::CallbackSource source(5000, [](std::uint64_t i) {
         return static_cast<RowId>(100 + 2 * (i % 2));
     });
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u);
-    EXPECT_EQ(harness.rfms(), 5000u);
+    eng.run(source);
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u);
+    EXPECT_EQ(eng.rfms(), 5000u);
 }
 
 TEST(EdgeMithril, EdgeRowAggressorHandled)
@@ -221,15 +222,14 @@ TEST(EdgeMithril, EdgeRowAggressorHandled)
     params.rfmTh = 16;
     core::Mithril tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 2000;
-    cfg.rowsPerBank = 1024;
-    sim::ActHarness harness(cfg, &tracker);
-    harness.run(100000, [](std::uint64_t i) {
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 2000, 1024),
+        &tracker);
+    engine::CallbackSource source(100000, [](std::uint64_t i) {
         return static_cast<RowId>((i % 2) ? 0 : 2);
     });
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u);
+    eng.run(source);
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u);
 }
 
 TEST(EdgeMithril, LastRowAggressorHandled)
@@ -239,15 +239,14 @@ TEST(EdgeMithril, LastRowAggressorHandled)
     params.rfmTh = 16;
     core::Mithril tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 2000;
-    cfg.rowsPerBank = 1024;
-    sim::ActHarness harness(cfg, &tracker);
-    harness.run(100000, [](std::uint64_t i) {
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 2000, 1024),
+        &tracker);
+    engine::CallbackSource source(100000, [](std::uint64_t i) {
         return static_cast<RowId>((i % 2) ? 1023 : 1021);
     });
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u);
+    eng.run(source);
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u);
 }
 
 } // namespace

@@ -251,7 +251,7 @@ runEngine(const std::string &scheme,
     geom.rowsPerBank = kRows;
     auto tracker = makeTracker(scheme, geom);
     engine::EngineConfig cfg = engine::EngineConfig::singleBank(
-        dram::ddr5_4800(), kRows, kFlipTh, 1);
+        dram::ddr5_4800(), kFlipTh, kRows);
     cfg.dispatch = dispatch;
     engine::ActStreamEngine eng(cfg, tracker.get());
     Rng rng(1234);
@@ -387,7 +387,7 @@ TEST(EngineRun, IncrementalMaxActsLosesNoRecords)
         geom.rowsPerBank = kRows;
         auto tracker = makeTracker("mithril", geom);
         engine::EngineConfig cfg = engine::EngineConfig::singleBank(
-            dram::ddr5_4800(), kRows, kFlipTh, 1);
+            dram::ddr5_4800(), kFlipTh, kRows);
         engine::ActStreamEngine eng(cfg, tracker.get());
         Rng rng(77);
         // Chunk 4096: every fill() over-pulls far past a 100-act cap.
@@ -497,7 +497,7 @@ TEST(EngineThrottle, HonorThrottleDelaysBlacklistedActs)
             registry::makeScheme("blockhammer", knobs.toParams(),
                                  {timing, geom});
         engine::EngineConfig cfg = engine::EngineConfig::singleBank(
-            timing, kRows, 1500, 1);
+            timing, 1500, kRows);
         cfg.honorThrottle = honor;
         engine::ActStreamEngine eng(cfg, tracker.get());
         engine::CallbackSource source(

@@ -4,7 +4,7 @@
  * refresh, Mithril+ mode-register behaviour, and — the centrepiece —
  * empirical validation of the Theorem 1/2 deterministic-safety claim
  * against adversarial maximum-rate activation streams via the
- * command-level harness.
+ * command-level engine.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 #include "core/bounds.hh"
 #include "core/config_solver.hh"
 #include "core/mithril.hh"
-#include "sim/act_harness.hh"
+#include "engine/act_stream_engine.hh"
 
 namespace mithril::core
 {
@@ -217,24 +217,24 @@ TEST_P(MithrilSafety, NoBitFlipsAtSolverConfig)
     params.adTh = 0;
     Mithril tracker(1, params);
 
-    sim::ActHarnessConfig hcfg;
-    hcfg.timing = timing;
-    hcfg.flipTh = flip_th;
-    sim::ActHarness harness(hcfg, &tracker);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, flip_th),
+        &tracker);
 
     // Run for ~1.5 refresh windows at the maximum ACT rate.
     const std::uint64_t acts =
         dram::maxActsPerWindow(timing) * 3 / 2;
     Rng rng(flip_th + rfm_th + static_cast<unsigned>(pattern));
-    harness.run(acts, [&](std::uint64_t i) {
+    engine::CallbackSource source(acts, [&](std::uint64_t i) {
         return attackRow(pattern, i, rng, rfm_th);
     });
+    eng.run(source);
 
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u)
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u)
         << "FlipTH=" << flip_th << " RFM_TH=" << rfm_th
         << " pattern=" << pattern << " maxDist="
-        << harness.oracle().maxDisturbanceEver();
-    EXPECT_LT(harness.oracle().maxDisturbanceEver(), flip_th);
+        << eng.oracle().maxDisturbanceEver();
+    EXPECT_LT(eng.oracle().maxDisturbanceEver(), flip_th);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -259,15 +259,16 @@ TEST(MithrilSafetyAdaptive, AdaptiveConfigStillSafe)
     params.adTh = ad_th;
     Mithril tracker(1, params);
 
-    sim::ActHarnessConfig hcfg;
-    hcfg.timing = timing;
-    hcfg.flipTh = flip_th;
-    sim::ActHarness harness(hcfg, &tracker);
-    harness.run(dram::maxActsPerWindow(timing) * 3 / 2,
-                [](std::uint64_t i) {
-                    return 1000 + 2 * static_cast<RowId>(i % 2);
-                });
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, flip_th),
+        &tracker);
+    engine::CallbackSource source(
+        dram::maxActsPerWindow(timing) * 3 / 2,
+        [](std::uint64_t i) {
+            return 1000 + 2 * static_cast<RowId>(i % 2);
+        });
+    eng.run(source);
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u);
 }
 
 TEST(MithrilSafetyAdaptive, AdaptiveSkipsOnBenignStream)
@@ -281,18 +282,18 @@ TEST(MithrilSafetyAdaptive, AdaptiveSkipsOnBenignStream)
     params.adTh = 200;
     Mithril tracker(1, params);
 
-    sim::ActHarnessConfig hcfg;
-    hcfg.timing = timing;
-    hcfg.flipTh = 6250;
-    sim::ActHarness harness(hcfg, &tracker);
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 6250),
+        &tracker);
     // Sweep rows with ~128 ACT reuse spread widely (benign).
-    harness.run(500000, [](std::uint64_t i) {
+    engine::CallbackSource source(500000, [](std::uint64_t i) {
         return static_cast<RowId>((i / 2) % 40000);
     });
-    EXPECT_GT(harness.rfms(), 0u);
+    eng.run(source);
+    EXPECT_GT(eng.rfms(), 0u);
     // Nearly every RFM skipped the preventive refresh.
-    EXPECT_LT(harness.preventiveRefreshes(), harness.rfms() / 20);
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u);
+    EXPECT_LT(eng.preventiveRefreshes(), eng.rfms() / 20);
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u);
 }
 
 TEST(MithrilEstimatedGrowth, BoundedByTheorem1M)
@@ -308,20 +309,21 @@ TEST(MithrilEstimatedGrowth, BoundedByTheorem1M)
     params.rfmTh = rfm_th;
     Mithril tracker(1, params);
 
-    sim::ActHarnessConfig hcfg;
-    hcfg.timing = timing;
-    hcfg.flipTh = 1u << 30;  // Oracle disabled-ish; we check counters.
-    sim::ActHarness harness(hcfg, &tracker);
+    // Oracle disabled-ish; we check counters.
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30),
+        &tracker);
 
     // Adversarial: hammer one row plus rotating chaff.
     const RowId target = 5000;
     std::uint64_t window_acts = dram::maxActsPerWindow(timing);
     const std::uint64_t start_est = tracker.table(0).estimate(target);
-    harness.run(window_acts, [&](std::uint64_t i) {
+    engine::CallbackSource source(window_acts, [&](std::uint64_t i) {
         if (i % 3 == 0)
             return target;
         return static_cast<RowId>(6000 + 2 * (i % 100));
     });
+    eng.run(source);
     const std::uint64_t end_est = tracker.table(0).estimate(target);
     EXPECT_LE(static_cast<double>(end_est - start_est), m)
         << "estimated growth exceeded Theorem 1 bound M=" << m;

@@ -181,9 +181,9 @@ runMixOnce(std::uint32_t mc_threads)
     }
     system.run();
 
-    StatRegistry registry;
-    system.exportStats(registry);
-    out.statsDump = registry.dump();
+    telemetry::MetricSheet sheet;
+    system.exportStats(sheet);
+    out.statsDump = sheet.dump();
     out.aggIpc = system.aggregateIpc();
     out.end = system.now();
     return out;

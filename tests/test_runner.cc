@@ -17,6 +17,8 @@
 #include "common/config.hh"
 #include "common/logging.hh"
 #include "registry/attack_registry.hh"
+#include "registry/scheme_registry.hh"
+#include "registry/workload_registry.hh"
 #include "runner/runner.hh"
 #include "runner/sinks.hh"
 #include "runner/sweep_spec.hh"
@@ -267,7 +269,7 @@ TEST(SweepSpec, SharedSeedPolicyUsesSweepSeedVerbatim)
     SweepSpec spec;
     spec.schemes = {"mithril"};
     spec.flipThs = {50000, 6250};
-    spec.seed = 1234;
+    spec.base.seed = 1234;
     for (const Job &job : spec.expand()) {
         EXPECT_EQ(job.spec.seed, 1234u);
         EXPECT_EQ(job.spec.schemeSeed, sim::ExperimentSpec().schemeSeed);
@@ -279,7 +281,7 @@ TEST(SweepSpec, PerJobSeedPolicyGivesDistinctDeterministicSeeds)
     SweepSpec spec;
     spec.schemes = {"mithril"};
     spec.flipThs = {50000, 25000, 6250};
-    spec.seed = 99;
+    spec.base.seed = 99;
     spec.seedPolicy = SeedPolicy::PerJob;
     const auto jobs = spec.expand();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -292,7 +294,7 @@ TEST(SweepSpec, PerJobSeedPolicyGivesDistinctDeterministicSeeds)
 TEST(SweepSpec, WarmupRuleFollowsAttack)
 {
     SweepSpec spec;
-    spec.trackerWarmupActs = 1000;
+    spec.base.trackerWarmupActs = 1000;
     spec.cases = {{"mix-high", "none"}, {"mix-high", "multi-sided"}};
     const auto jobs = spec.expand();
     ASSERT_EQ(jobs.size(), 2u);
@@ -321,9 +323,9 @@ TEST(SweepSpec, FromParamsParsesLists)
     EXPECT_EQ(spec.flipThs.size(), 2u);
     EXPECT_EQ(spec.rfmThs.size(), 1u);
     EXPECT_EQ(spec.cases.size(), 4u); // workloads x attacks
-    EXPECT_EQ(spec.cores, 4u);
-    EXPECT_EQ(spec.instrPerCore, 1000u);
-    EXPECT_EQ(spec.seed, 7u);
+    EXPECT_EQ(spec.base.cores, 4u);
+    EXPECT_EQ(spec.base.instrPerCore, 1000u);
+    EXPECT_EQ(spec.base.seed, 7u);
     EXPECT_TRUE(spec.includeBaseline);
     EXPECT_EQ(spec.seedPolicy, SeedPolicy::PerJob);
     EXPECT_EQ(spec.jobCount(), 2u * 2u * 1u * 4u + 4u);
@@ -376,6 +378,22 @@ TEST(SweepSpec, FromParamsRejectsUnknownKeysAndBadRanges)
         setLogCapture(nullptr);
         EXPECT_NE(capture.find("rfm-graphene"), std::string::npos)
             << capture;
+    }
+    // Out-of-range scalars die at parse time with the legal range,
+    // not as per-job FAILED rows after the sweep has run.
+    for (const char *text :
+         {"cores=0", "mc-threads=5000", "heatmap-regions=0",
+          "trace-capacity=0", "blast-radius=5", "channels=3"}) {
+        std::string capture;
+        setLogCapture(&capture);
+        EXPECT_THROW(SweepSpec::fromParams(ParamSet::fromString(text)),
+                     std::runtime_error)
+            << text;
+        setLogCapture(nullptr);
+        const std::string want =
+            std::string(text) == "channels=3" ? "power of two"
+                                              : "out of range";
+        EXPECT_NE(capture.find(want), std::string::npos) << capture;
     }
     setLogThrowOnFatal(false);
 }
@@ -490,8 +508,8 @@ TEST(SweepRunner, RealSimulationIsIdenticalAcrossThreadCounts)
     spec.schemes = {"mithril", "para"};
     spec.flipThs = {6250};
     spec.cases = {{"mix-high", "none"}, {"mix-high", "double-sided"}};
-    spec.cores = 2;
-    spec.instrPerCore = 2000;
+    spec.base.cores = 2;
+    spec.base.instrPerCore = 2000;
     spec.includeBaseline = true;
 
     RunnerOptions serial;
@@ -569,7 +587,7 @@ TEST(SweepRunner, EngineOnlySweepIsDeterministicAcrossEverything)
     spec.sources = {"attack"};
     spec.shardsList = {1, 2};
     spec.cases = {{"mix-high", "multi-sided"}};
-    spec.engineActs = 20000;
+    spec.base.engineActs = 20000;
 
     RunnerOptions serial;
     serial.jobs = 1;
@@ -608,8 +626,8 @@ TEST(SweepRunner, RejectedConfigurationFailsItsJobOnly)
     SweepSpec spec;
     spec.schemes = {"mithril", "para"};
     spec.flipThs = {100};
-    spec.cores = 1;
-    spec.instrPerCore = 500;
+    spec.base.cores = 1;
+    spec.base.instrPerCore = 500;
     spec.includeBaseline = true;
 
     RunnerOptions options;
@@ -644,8 +662,8 @@ TEST(SweepRunner, BlockHammerBelowItsBlacklistFailsItsJobOnly)
     SweepSpec spec;
     spec.schemes = {"blockhammer", "para"};
     spec.flipThs = {400};
-    spec.cores = 1;
-    spec.instrPerCore = 500;
+    spec.base.cores = 1;
+    spec.base.instrPerCore = 500;
 
     RunnerOptions options;
     options.jobs = 2;
@@ -706,9 +724,9 @@ TEST(JsonSink, GoldenFileSchema)
     spec.flipThs = {50000, 6250};
     spec.rfmThs = {64};
     spec.cases = {{"mix-high", "none"}, {"mt-fft", "multi-sided"}};
-    spec.cores = 4;
-    spec.instrPerCore = 1000;
-    spec.seed = 7;
+    spec.base.cores = 4;
+    spec.base.instrPerCore = 1000;
+    spec.base.seed = 7;
     spec.includeBaseline = true;
 
     RunnerOptions options;
@@ -731,6 +749,184 @@ TEST(JsonSink, GoldenFileSchema)
     std::stringstream buffer;
     buffer << in.rdbuf();
     EXPECT_EQ(artifact, buffer.str());
+}
+
+// ------------------------------------------------ knob surface pins
+
+/** "a, b, c" -> {a, b, c}. */
+std::set<std::string>
+splitKeyList(const std::string &text)
+{
+    std::set<std::string> keys;
+    std::stringstream ss(text);
+    std::string key;
+    while (std::getline(ss, key, ',')) {
+        key.erase(0, key.find_first_not_of(' '));
+        keys.insert(key);
+    }
+    return keys;
+}
+
+TEST(KnobSurface, DescribeAndJobLabelsArePinned)
+{
+    // describe() feeds journal fingerprints, record= headers and the
+    // engine replay provenance, so its bytes are an interface: every
+    // knob at a non-default value, the default spec, and every job of
+    // sweeps that set every sweep scalar. Regenerate with:
+    //   MITHRIL_UPDATE_GOLDEN=1 ./test_runner
+    //       --gtest_filter=KnobSurface.DescribeAndJobLabelsArePinned
+    std::string artifact;
+    const sim::ExperimentSpec tuned =
+        sim::ExperimentSpec::parse(ParamSet::fromString(
+            "scheme=mithril_plus workload=mt-fft attack=multi-sided "
+            "source=act-trace trace=in.acttrace victims=8 flip=3000 "
+            "rfm=32 ad=100 blast-radius=2 scheme-seed=9 cores=4 "
+            "instr=1234 seed=5 warmup=77 warmup-from-workload=1 "
+            "record=out.acttrace trace-pipeline=merge "
+            "telemetry=1 trace-events=ev.json heatmap-regions=32 "
+            "trace-capacity=128 acts=5000 shards=4 threads=2 "
+            "channels=2 mc-threads=3"));
+    artifact += "tuned: " + tuned.describe() + "\n";
+    artifact += "default: " + sim::ExperimentSpec().describe() + "\n";
+
+    const auto add_grid = [&artifact](const char *name,
+                                      const std::string &text) {
+        const SweepSpec spec =
+            SweepSpec::fromParams(ParamSet::fromString(text));
+        for (const Job &job : spec.expand()) {
+            artifact += std::string(name) + " " + job.label + ": " +
+                        job.spec.describe() + "\n";
+        }
+    };
+    add_grid("grid",
+             "schemes=mithril,para flip=6250,3000 rfm=32 "
+             "workloads=mix-high attacks=none,multi-sided "
+             "sources=none,act-trace shards=2 trace=in.acttrace "
+             "victims=8 para-p=0.5 cores=4 instr=1234 seed=5 "
+             "warmup=77 blast-radius=2 ad=100 acts=5000 channels=2 "
+             "mc-threads=3 telemetry=1 heatmap-regions=32 "
+             "trace-capacity=128 baseline=1 seed-policy=per-job "
+             "trace-pipeline=merge failpoints=sink.flush:error");
+    add_grid("single",
+             "schemes=graphene record=out.acttrace "
+             "trace-events=ev.json cores=2 instr=99");
+
+    const std::string golden_path =
+        std::string(MITHRIL_SOURCE_DIR) +
+        "/tests/golden/describe_v1.txt";
+    if (std::getenv("MITHRIL_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(golden_path);
+        out << artifact;
+        GTEST_SKIP() << "regenerated " << golden_path;
+    }
+    std::ifstream in(golden_path);
+    ASSERT_TRUE(in) << "missing golden file " << golden_path;
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    EXPECT_EQ(artifact, buffer.str());
+}
+
+TEST(KnobSurface, ExperimentSpecAcceptsExactlyItsKnobs)
+{
+    // The unknown-key error lists every accepted key: the spec's own
+    // knobs plus those the selected entries declare.
+    std::string message;
+    try {
+        sim::ExperimentSpec::parse(ParamSet::fromString("nosuch=1"));
+        FAIL() << "expected SpecError";
+    } catch (const registry::SpecError &err) {
+        message = err.what();
+    }
+    const std::string marker = "accepted parameters: ";
+    const std::size_t at = message.find(marker);
+    ASSERT_NE(at, std::string::npos) << message;
+    std::set<std::string> accepted =
+        splitKeyList(message.substr(at + marker.size()));
+    for (const auto *entry_params :
+         {&registry::schemeRegistry().at("mithril").params,
+          &registry::workloadRegistry().at("mix-high").params,
+          &registry::attackRegistry().at("none").params}) {
+        for (const registry::ParamDesc &desc : *entry_params)
+            accepted.erase(desc.key);
+    }
+    const std::set<std::string> expected = {
+        "acts",         "ad",             "attack",
+        "blast-radius", "channels",       "cores",
+        "flip",         "heatmap-regions", "instr",
+        "mc-threads",   "record",         "rfm",
+        "scheme",       "scheme-seed",    "seed",
+        "shards",       "source",         "telemetry",
+        "threads",      "trace-capacity", "trace-events",
+        "trace-pipeline", "warmup",       "warmup-from-workload",
+        "workload",
+    };
+    EXPECT_EQ(accepted, expected);
+}
+
+TEST(KnobSurface, SweepAcceptsExactlyItsKeys)
+{
+    // Probe every candidate key alone (with whatever context it needs
+    // to be valid); the accepted set must match exactly. Per-job knobs
+    // (threads=, scheme-seed=, warmup-from-workload=) and the singular
+    // axis names stay fatal: a sweep sets those itself.
+    const std::vector<std::pair<std::string, std::string>> probes = {
+        {"schemes", "schemes=mithril"},
+        {"flip", "flip=6250"},
+        {"rfm", "rfm=0"},
+        {"workloads", "workloads=mix-high"},
+        {"attacks", "attacks=none"},
+        {"sources", "sources=none"},
+        {"shards", "shards=0"},
+        {"cores", "cores=2"},
+        {"instr", "instr=10"},
+        {"seed", "seed=1"},
+        {"channels", "channels=2"},
+        {"mc-threads", "mc-threads=1"},
+        {"blast-radius", "blast-radius=1"},
+        {"ad", "ad=200"},
+        {"warmup", "warmup=0"},
+        {"baseline", "baseline=1"},
+        {"seed-policy", "seed-policy=shared"},
+        {"acts", "acts=10"},
+        {"record", "record=out.acttrace"},
+        {"telemetry", "telemetry=1"},
+        {"trace-events", "trace-events=ev.json"},
+        {"heatmap-regions", "heatmap-regions=64"},
+        {"trace-capacity", "trace-capacity=64"},
+        {"trace-pipeline",
+         "trace-pipeline=merge sources=act-trace trace=in.acttrace"},
+        {"failpoints", "failpoints=sink.flush:error"},
+        {"scheme", "scheme=mithril"},
+        {"workload", "workload=mix-high"},
+        {"attack", "attack=none"},
+        {"source", "source=none"},
+        {"threads", "threads=1"},
+        {"scheme-seed", "scheme-seed=1"},
+        {"warmup-from-workload", "warmup-from-workload=1"},
+        {"jobs", "jobs=2"},
+    };
+    setLogThrowOnFatal(true);
+    std::set<std::string> accepted;
+    for (const auto &[key, text] : probes) {
+        try {
+            SweepSpec::fromParams(ParamSet::fromString(text));
+            accepted.insert(key);
+        } catch (const std::runtime_error &) {
+        }
+    }
+    setLogThrowOnFatal(false);
+    const std::set<std::string> expected = {
+        "acts",       "ad",             "attacks",
+        "baseline",   "blast-radius",   "channels",
+        "cores",      "failpoints",     "flip",
+        "heatmap-regions", "instr",     "mc-threads",
+        "record",     "rfm",            "seed",
+        "seed-policy", "shards",        "sources",
+        "telemetry",  "trace-capacity", "trace-events",
+        "trace-pipeline", "warmup",     "workloads",
+        "schemes",
+    };
+    EXPECT_EQ(accepted, expected);
 }
 
 } // namespace

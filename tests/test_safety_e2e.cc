@@ -18,8 +18,8 @@
 
 #include "common/random.hh"
 #include "dram/timing.hh"
+#include "engine/act_stream_engine.hh"
 #include "registry/scheme_registry.hh"
-#include "sim/act_harness.hh"
 #include "trackers/graphene.hh"
 #include "trackers/rfm_graphene.hh"
 
@@ -105,23 +105,23 @@ TEST_P(DeterministicSafety, NoVictimReachesFlipTh)
                                         {timing, geom});
     ASSERT_NE(tracker, nullptr);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = tc.flipTh;
-    sim::ActHarness harness(cfg, tracker.get());
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, tc.flipTh),
+        tracker.get());
 
     Rng rng(tc.flipTh * 7 + static_cast<unsigned>(tc.pattern));
     // 1.5 refresh windows at the maximum single-bank ACT rate.
     const std::uint64_t acts =
         dram::maxActsPerWindow(timing) * 3 / 2;
-    harness.run(acts, [&](std::uint64_t i) {
+    engine::CallbackSource source(acts, [&](std::uint64_t i) {
         return patternRow(tc.pattern, i, rng);
     });
+    eng.run(source);
 
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u)
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u)
         << "max disturbance "
-        << harness.oracle().maxDisturbanceEver();
-    EXPECT_LT(harness.oracle().maxDisturbanceEver(),
+        << eng.oracle().maxDisturbanceEver();
+    EXPECT_LT(eng.oracle().maxDisturbanceEver(),
               static_cast<double>(tc.flipTh));
 }
 
@@ -163,15 +163,16 @@ TEST(AdaptiveSafety, MithrilWithAdth200StillSafe)
         auto tracker = registry::makeScheme(
             "mithril", knobs.toParams(), {timing, geom});
 
-        sim::ActHarnessConfig cfg;
-        cfg.timing = timing;
-        cfg.flipTh = flip;
-        sim::ActHarness harness(cfg, tracker.get());
-        harness.run(dram::maxActsPerWindow(timing) * 3 / 2,
-                    [](std::uint64_t i) {
-                        return 2000 + 2 * static_cast<RowId>(i % 2);
-                    });
-        EXPECT_EQ(harness.oracle().bitFlips(), 0u) << flip;
+        engine::ActStreamEngine eng(
+            engine::EngineConfig::singleBank(timing, flip),
+            tracker.get());
+        engine::CallbackSource source(
+            dram::maxActsPerWindow(timing) * 3 / 2,
+            [](std::uint64_t i) {
+                return 2000 + 2 * static_cast<RowId>(i % 2);
+            });
+        eng.run(source);
+        EXPECT_EQ(eng.oracle().bitFlips(), 0u) << flip;
     }
 }
 
@@ -186,17 +187,18 @@ TEST(ParfmSafety, SurvivesBatteryInPractice)
     auto tracker = registry::makeScheme("parfm", knobs.toParams(),
                                         {timing, geom});
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 6250;
-    sim::ActHarness harness(cfg, tracker.get());
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 6250),
+        tracker.get());
     Rng rng(123);
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    return patternRow(Pattern::RotatingDistinct, i,
-                                      rng);
-                });
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u);
+    engine::CallbackSource source(
+        dram::maxActsPerWindow(timing),
+        [&](std::uint64_t i) {
+            return patternRow(Pattern::RotatingDistinct, i,
+                              rng);
+        });
+    eng.run(source);
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u);
 }
 
 TEST(RfmGrapheneFailure, ConcentrationAttackDefeatsIt)
@@ -215,28 +217,30 @@ TEST(RfmGrapheneFailure, ConcentrationAttackDefeatsIt)
     params.resetInterval = timing.tREFW;
     trackers::RfmGraphene tracker(1, params);
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 10000;  // Would be safe under ARR-Graphene (~4T).
-    sim::ActHarness harness(cfg, &tracker);
+    // Would be safe under ARR-Graphene (~4T).
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 10000),
+        &tracker);
 
     // Concentration attack: drive Q rows to the threshold round-robin
     // inside half a tREFW (so the table reset cannot save the scheme),
     // then keep hammering the last pair while the queue drains.
     const std::uint64_t q = 150;
     const std::uint64_t phase1 = q * threshold;
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    if (i < phase1)
-                        return static_cast<RowId>(2000 + 2 * (i % q));
-                    const RowId last = static_cast<RowId>(
-                        2000 + 2 * (q - 1));
-                    return (i % 2) ? last : last - 2;
-                });
+    engine::CallbackSource source(
+        dram::maxActsPerWindow(timing),
+        [&](std::uint64_t i) {
+            if (i < phase1)
+                return static_cast<RowId>(2000 + 2 * (i % q));
+            const RowId last = static_cast<RowId>(
+                2000 + 2 * (q - 1));
+            return (i % 2) ? last : last - 2;
+        });
+    eng.run(source);
 
-    EXPECT_GT(harness.oracle().bitFlips(), 0u)
+    EXPECT_GT(eng.oracle().bitFlips(), 0u)
         << "strawman unexpectedly survived; max disturbance "
-        << harness.oracle().maxDisturbanceEver();
+        << eng.oracle().maxDisturbanceEver();
     EXPECT_GT(tracker.maxQueueDepth(), 10u);
 }
 
@@ -252,21 +256,22 @@ TEST(RfmGrapheneFailure, MithrilSurvivesTheSameAttack)
     auto tracker = registry::makeScheme("mithril", knobs.toParams(),
                                         {timing, geom});
 
-    sim::ActHarnessConfig cfg;
-    cfg.timing = timing;
-    cfg.flipTh = 10000;
-    sim::ActHarness harness(cfg, tracker.get());
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 10000),
+        tracker.get());
     const std::uint64_t q = 150;
     const std::uint64_t phase1 = q * 2000;
-    harness.run(dram::maxActsPerWindow(timing),
-                [&](std::uint64_t i) {
-                    if (i < phase1)
-                        return static_cast<RowId>(2000 + 2 * (i % q));
-                    const RowId last = static_cast<RowId>(
-                        2000 + 2 * (q - 1));
-                    return (i % 2) ? last : last - 2;
-                });
-    EXPECT_EQ(harness.oracle().bitFlips(), 0u);
+    engine::CallbackSource source(
+        dram::maxActsPerWindow(timing),
+        [&](std::uint64_t i) {
+            if (i < phase1)
+                return static_cast<RowId>(2000 + 2 * (i % q));
+            const RowId last = static_cast<RowId>(
+                2000 + 2 * (q - 1));
+            return (i % 2) ? last : last - 2;
+        });
+    eng.run(source);
+    EXPECT_EQ(eng.oracle().bitFlips(), 0u);
 }
 
 TEST(UnprotectedBaseline, EveryPatternFlipsBits)
@@ -275,16 +280,17 @@ TEST(UnprotectedBaseline, EveryPatternFlipsBits)
     // protection is present.
     const dram::Timing timing = dram::ddr5_4800();
     for (Pattern p : {Pattern::DoubleSided, Pattern::MultiSided32}) {
-        sim::ActHarnessConfig cfg;
-        cfg.timing = timing;
-        cfg.flipTh = 6250;
-        sim::ActHarness harness(cfg, nullptr);
+        engine::ActStreamEngine eng(
+            engine::EngineConfig::singleBank(timing, 6250),
+            nullptr);
         Rng rng(1);
-        harness.run(dram::maxActsPerWindow(timing) / 2,
-                    [&](std::uint64_t i) {
-                        return patternRow(p, i, rng);
-                    });
-        EXPECT_GT(harness.oracle().bitFlips(), 0u) << patternName(p);
+        engine::CallbackSource source(
+            dram::maxActsPerWindow(timing) / 2,
+            [&](std::uint64_t i) {
+                return patternRow(p, i, rng);
+            });
+        eng.run(source);
+        EXPECT_GT(eng.oracle().bitFlips(), 0u) << patternName(p);
     }
 }
 

@@ -11,8 +11,8 @@
 
 #include "common/random.hh"
 #include "core/mithril.hh"
+#include "engine/act_stream_engine.hh"
 #include "registry/scheme_registry.hh"
-#include "sim/act_harness.hh"
 #include "sim/event_queue.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -62,52 +62,52 @@ TEST(EventQueue, CallbackMaySchedule)
     EXPECT_EQ(q.nextTime(), kTickMax);
 }
 
-TEST(ActHarness, RefreshCadenceMatchesTrefi)
+TEST(SingleBankEngine, RefreshCadenceMatchesTrefi)
 {
-    ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 1u << 30;
-    ActHarness harness(cfg, nullptr);
+    const dram::Timing timing = dram::ddr5_4800();
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(timing, 1u << 30), nullptr);
     // Enough ACTs to span ~10 tREFI.
     const auto acts = static_cast<std::uint64_t>(
-        10.0 * static_cast<double>(cfg.timing.tREFI) /
-        static_cast<double>(cfg.timing.tRC));
-    harness.run(acts, [](std::uint64_t i) {
+        10.0 * static_cast<double>(timing.tREFI) /
+        static_cast<double>(timing.tRC));
+    engine::CallbackSource source(acts, [](std::uint64_t i) {
         return static_cast<RowId>(i % 100);
     });
-    EXPECT_NEAR(static_cast<double>(harness.refs()), 10.0, 2.0);
-    EXPECT_EQ(harness.acts(), acts);
+    eng.run(source);
+    EXPECT_NEAR(static_cast<double>(eng.refs()), 10.0, 2.0);
+    EXPECT_EQ(eng.acts(), acts);
 }
 
-TEST(ActHarness, RfmCadenceMatchesTracker)
+TEST(SingleBankEngine, RfmCadenceMatchesTracker)
 {
     core::MithrilParams mp;
     mp.nEntry = 32;
     mp.rfmTh = 64;
     core::Mithril tracker(1, mp);
 
-    ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 1u << 30;
-    ActHarness harness(cfg, &tracker);
-    harness.run(6400, [](std::uint64_t i) {
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 1u << 30),
+        &tracker);
+    engine::CallbackSource source(6400, [](std::uint64_t i) {
         return static_cast<RowId>(i % 7);
     });
-    EXPECT_EQ(harness.rfms(), 100u);
-    EXPECT_EQ(harness.preventiveRefreshes(), 100u);
+    eng.run(source);
+    EXPECT_EQ(eng.rfms(), 100u);
+    EXPECT_EQ(eng.preventiveRefreshes(), 100u);
 }
 
-TEST(ActHarness, UnprotectedHammerFlipsBits)
+TEST(SingleBankEngine, UnprotectedHammerFlipsBits)
 {
-    ActHarnessConfig cfg;
-    cfg.timing = dram::ddr5_4800();
-    cfg.flipTh = 5000;
-    ActHarness harness(cfg, nullptr);
-    harness.run(20000, [](std::uint64_t i) {
+    engine::ActStreamEngine eng(
+        engine::EngineConfig::singleBank(dram::ddr5_4800(), 5000),
+        nullptr);
+    engine::CallbackSource source(20000, [](std::uint64_t i) {
         return 1000 + 2 * static_cast<RowId>(i % 2);
     });
-    EXPECT_GT(harness.oracle().bitFlips(), 0u);
-    EXPECT_GE(harness.oracle().maxDisturbanceEver(), 5000.0);
+    eng.run(source);
+    EXPECT_GT(eng.oracle().bitFlips(), 0u);
+    EXPECT_GE(eng.oracle().maxDisturbanceEver(), 5000.0);
 }
 
 // ----------------------------------------------------- System runs
@@ -363,15 +363,18 @@ TEST(SystemIntegration, ExportStatsCoversComponents)
                    makeWorkloadThread(WorkloadKind::MixHigh, 0, 1, 1));
     system.run();
 
-    StatRegistry registry;
-    system.exportStats(registry);
-    EXPECT_GT(registry.counterValue("mc.reads"), 0u);
-    EXPECT_GT(registry.counterValue("dram.acts"), 0u);
-    EXPECT_GT(registry.counterValue("cache.misses"), 0u);
-    EXPECT_GT(registry.counterValue("core0.instructions"), 4999u);
-    EXPECT_EQ(registry.counterValue("rh.bitFlips"), 0u);
-    EXPECT_NE(registry.dump().find("mc.activates"),
-              std::string::npos);
+    telemetry::MetricSheet sheet;
+    system.exportStats(sheet);
+    EXPECT_GT(sheet.counterValue("mc.reads"), 0u);
+    EXPECT_GT(sheet.counterValue("dram.acts"), 0u);
+    EXPECT_GT(sheet.counterValue("cache.misses"), 0u);
+    EXPECT_GT(sheet.counterValue("core0.instructions"), 4999u);
+    EXPECT_EQ(sheet.counterValue("oracle.bit_flips"), 0u);
+    EXPECT_GT(sheet.gaugeValue("core0.ipc"), 0.0);
+    // The mc.* block carries the names runExperiment's telemetry
+    // uses.
+    EXPECT_EQ(sheet.counterValue("mc.acts"), system.stats().activates);
+    EXPECT_NE(sheet.dump().find("mc.row_hits"), std::string::npos);
 }
 
 TEST(SystemIntegration, EnergyOverheadHelpers)

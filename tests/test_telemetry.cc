@@ -1,7 +1,7 @@
 /**
  * @file
  * Telemetry subsystem tests: merge algebra of the stat primitives
- * (Average, StatRegistry, Histogram, MetricSheet), mitigation-event
+ * (Average, Histogram, MetricSheet), mitigation-event
  * ring semantics, heatmap coarsening, Chrome trace export shape —
  * and the two contracts the subsystem lives or dies by:
  *
@@ -234,26 +234,6 @@ TEST(AverageMerge, Associative)
     EXPECT_DOUBLE_EQ(left.sum(), right.sum());
     EXPECT_DOUBLE_EQ(left.minValue(), right.minValue());
     EXPECT_DOUBLE_EQ(left.maxValue(), right.maxValue());
-}
-
-TEST(StatRegistryMerge, NameUnionCountersAddAveragesMerge)
-{
-    StatRegistry a, b;
-    a.counter("shared").inc(3);
-    a.counter("only_a").inc(1);
-    a.average("lat").sample(10.0);
-    b.counter("shared").inc(5);
-    b.counter("only_b").inc(2);
-    b.average("lat").sample(30.0);
-    b.average("only_b_avg").sample(1.5);
-
-    a.mergeFrom(b);
-    EXPECT_EQ(a.counterValue("shared"), 8u);
-    EXPECT_EQ(a.counterValue("only_a"), 1u);
-    EXPECT_EQ(a.counterValue("only_b"), 2u);
-    EXPECT_EQ(a.average("lat").count(), 2u);
-    EXPECT_DOUBLE_EQ(a.average("lat").mean(), 20.0);
-    EXPECT_EQ(a.average("only_b_avg").count(), 1u);
 }
 
 TEST(HistogramMerge, BucketwiseEqualsUnionSampling)
