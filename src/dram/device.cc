@@ -12,7 +12,7 @@ Device::Device(const Timing &timing, const Geometry &geometry,
     : timing_(timing), geometry_(geometry),
       oracle_(geometry.totalBanks(), geometry.rowsPerBank, flip_th,
               blast_radius),
-      blastRadius_(blast_radius)
+      mitigation_(timing, geometry), blastRadius_(blast_radius)
 {
     const std::uint32_t total_banks = geometry_.totalBanks();
     banks_.reserve(total_banks);
@@ -27,7 +27,7 @@ Device::Device(const Timing &timing, const Geometry &geometry,
 }
 
 void
-Device::activate(BankId b, RowId row, Tick t, std::vector<RowId> &arr_out)
+Device::activate(BankId b, RowId row, Tick t)
 {
     banks_.at(b).doActivate(t, row);
     ranks_.at(rankOf(b)).recordAct(t);
@@ -38,8 +38,11 @@ Device::activate(BankId b, RowId row, Tick t, std::vector<RowId> &arr_out)
     oracle_.onActivate(b, row);
     if (actObserver_)
         actObserver_(b, row, t);
-    if (tracker_)
-        tracker_->onActivate(b, row, t, arr_out);
+    if (tracker_) {
+        scratch_.reset();
+        tracker_->onActivate(b, row, t, scratch_.arr);
+        mitigation_.noteActs(b, 1, scratch_.arr);
+    }
 }
 
 void
@@ -64,77 +67,51 @@ Device::write(BankId b, Tick t)
 }
 
 void
-Device::autoRefreshRank(std::uint32_t flat_rank, Tick t)
+Device::autoRefreshRank(std::uint32_t flat_rank, Tick t,
+                        std::uint32_t raa_decrement)
 {
-    const std::uint32_t groups = refreshGroups(timing_);
-    const std::uint32_t rows_per_group =
-        (geometry_.rowsPerBank + groups - 1) / groups;
     const BankId first = flat_rank * geometry_.banksPerRank;
-    for (std::uint32_t i = 0; i < geometry_.banksPerRank; ++i) {
-        const BankId b = first + i;
-        Bank &bank = banks_.at(b);
-        // The controller must have closed the bank already.
-        MITHRIL_ASSERT(!bank.isOpen());
-        bank.doRefresh(std::max(t, bank.earliestRefresh(t)), timing_.tRFC);
-        oracle_.onAutoRefresh(b, groups);
-        energy_.addRefreshRows(rows_per_group);
-        if (tracker_)
-            tracker_->onRefresh(b, t);
-    }
+    for (std::uint32_t i = 0; i < geometry_.banksPerRank; ++i)
+        refreshBank(first + i, t, timing_.tRFC, raa_decrement);
 }
 
 void
-Device::autoRefreshBank(BankId b, Tick t)
+Device::autoRefreshBank(BankId b, Tick t, std::uint32_t raa_decrement)
 {
-    const std::uint32_t groups = refreshGroups(timing_);
-    const std::uint32_t rows_per_group =
-        (geometry_.rowsPerBank + groups - 1) / groups;
+    refreshBank(b, t, timing_.tRFCsb, raa_decrement);
+}
+
+void
+Device::refreshBank(BankId b, Tick t, Tick busy, std::uint32_t raa_decrement)
+{
     Bank &bank = banks_.at(b);
+    // The controller must have closed the bank already.
     MITHRIL_ASSERT(!bank.isOpen());
-    bank.doRefresh(std::max(t, bank.earliestRefresh(t)),
-                   timing_.tRFCsb);
-    oracle_.onAutoRefresh(b, groups);
-    energy_.addRefreshRows(rows_per_group);
-    if (tracker_)
-        tracker_->onRefresh(b, t);
+    bank.doRefresh(std::max(t, bank.earliestRefresh(t)), busy);
+    const std::uint32_t groups = refreshGroups(timing_);
+    energy_.addRefreshRows((geometry_.rowsPerBank + groups - 1) / groups);
+    mitigation_.refresh(b, t, raa_decrement, &oracle_);
 }
 
 std::size_t
-Device::rfm(BankId b, Tick t)
+Device::mitigate(BankId b, const Mitigation::Verdict &verdict, Tick t)
 {
     Bank &bank = banks_.at(b);
-    MITHRIL_ASSERT(!bank.isOpen());
-    bank.doRefresh(t, timing_.tRFM);
-    ++rfmCount_;
-
-    scratch_.reset();
-    if (tracker_)
-        tracker_->onRfm(b, t, scratch_.arr);
-
-    if (scratch_.arr.empty()) {
+    using Kind = Mitigation::Verdict::Kind;
+    MITHRIL_ASSERT(verdict.kind == Kind::MrrSkip || !bank.isOpen());
+    if (verdict.kind == Kind::Rfm) {
+        bank.doRefresh(t, timing_.tRFM);
+    } else if (verdict.kind == Kind::Arr) {
+        // Refreshing the 2*radius victims costs about one row cycle
+        // each.
+        bank.doRefresh(std::max(t, bank.earliestRefresh(t)),
+                       static_cast<Tick>(2 * blastRadius_) * timing_.tRC);
+    }
+    const std::size_t treated = mitigation_.commit(b, verdict, t, &oracle_);
+    if (verdict.kind == Kind::Rfm && treated == 0)
         ++rfmSkipped_;
-        return 0;
-    }
-    for (RowId aggressor : scratch_.arr) {
-        oracle_.onNeighborRefresh(b, aggressor);
-        energy_.addPreventiveRows(2ull * blastRadius_);
-        ++preventiveCount_;
-    }
-    return scratch_.arr.size();
-}
-
-void
-Device::preventiveRefresh(BankId b, RowId aggressor, Tick t)
-{
-    Bank &bank = banks_.at(b);
-    MITHRIL_ASSERT(!bank.isOpen());
-    // Refreshing the 2*radius victims costs about one row cycle each.
-    const Tick duration =
-        static_cast<Tick>(2 * blastRadius_) * timing_.tRC;
-    bank.doRefresh(std::max(t, bank.earliestRefresh(t)), duration);
-    oracle_.onNeighborRefresh(b, aggressor);
-    energy_.addPreventiveRows(2ull * blastRadius_);
-    ++preventiveCount_;
+    energy_.addPreventiveRows(2ull * blastRadius_ * treated);
+    return treated;
 }
 
 } // namespace mithril::dram

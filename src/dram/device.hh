@@ -3,10 +3,11 @@
  * Whole-system DRAM device model.
  *
  * Owns every bank's state machine, rank-level ACT pacing, the ground
- * truth RH oracle, the energy meter, and the hook into the active RH
- * protection scheme. The memory controller drives it by committing
- * commands; the device executes them, keeps the oracle honest, and
- * meters energy.
+ * truth RH oracle, the energy meter, the hook into the active RH
+ * protection scheme, and the DDR5 mitigation state (RAA, owed RFMs,
+ * queued ARRs; see dram::Mitigation). The memory controller drives it
+ * by committing commands; the device executes them, keeps the oracle
+ * honest, and meters energy.
  */
 
 #ifndef MITHRIL_DRAM_DEVICE_HH
@@ -21,6 +22,7 @@
 #include "common/types.hh"
 #include "dram/bank.hh"
 #include "dram/energy.hh"
+#include "dram/mitigation.hh"
 #include "dram/rank.hh"
 #include "dram/rh_oracle.hh"
 #include "dram/timing.hh"
@@ -43,8 +45,18 @@ class Device
            std::uint32_t flip_th, std::uint32_t blast_radius = 1);
 
     /** Attach the active protection scheme (may be null = unprotected). */
-    void setTracker(trackers::RhProtection *tracker) { tracker_ = tracker; }
+    void
+    setTracker(trackers::RhProtection *tracker)
+    {
+        tracker_ = tracker;
+        mitigation_.setTracker(tracker);
+    }
     trackers::RhProtection *tracker() const { return tracker_; }
+
+    /** What each bank owes in RFMs and ARRs; commit through
+     *  mitigate(). */
+    const Mitigation &mitigation() const { return mitigation_; }
+    Mitigation &mitigation() { return mitigation_; }
 
     /** Observes every committed ACT (bank, row, issue tick) — the
      *  tap an act-trace recorder captures a System run through.
@@ -87,13 +99,11 @@ class Device
     }
 
     /**
-     * Commit an ACT. Informs the tracker and the oracle.
-     * @param arr_out Aggressor rows the (ARR-based) tracker wants
-     *                refreshed immediately; the controller must follow
-     *                up with preventiveRefresh() calls.
+     * Commit an ACT. Informs the oracle and the tracker, and counts it
+     * in the bank's mitigation state, which then owes any RFM or ARR
+     * the ACT made due.
      */
-    void activate(BankId b, RowId row, Tick t,
-                  std::vector<RowId> &arr_out);
+    void activate(BankId b, RowId row, Tick t);
 
     /** Commit a PRE. */
     void precharge(BankId b, Tick t);
@@ -107,28 +117,27 @@ class Device
     /**
      * Commit an all-bank REF for one rank at tick t: every bank of the
      * rank is busy for tRFC and one refresh group of rows is refreshed.
+     * @param raa_decrement DDR5 RAA decrement per refreshed bank.
      */
-    void autoRefreshRank(std::uint32_t flat_rank, Tick t);
+    void autoRefreshRank(std::uint32_t flat_rank, Tick t,
+                         std::uint32_t raa_decrement = 0);
 
     /**
      * Commit a same-bank REF (DDR5 REFsb) at tick t: only this bank is
      * busy (tRFCsb) and one refresh group of its rows is refreshed.
      */
-    void autoRefreshBank(BankId b, Tick t);
+    void autoRefreshBank(BankId b, Tick t,
+                         std::uint32_t raa_decrement = 0);
 
     /**
-     * Commit an RFM to a bank: the bank is busy for tRFM and the
-     * tracker decides which aggressors' victims to refresh.
-     * @return Number of aggressor rows treated (0 = skipped refresh).
+     * Commit the bank's mitigation verdict at tick t. An RFM keeps the
+     * bank busy for tRFM, an ARR for about one row cycle per victim
+     * row; an MRR skip costs the bank nothing (its bus time is the
+     * controller's).
+     * @return Number of aggressor rows treated.
      */
-    std::size_t rfm(BankId b, Tick t);
-
-    /**
-     * Execute a preventive refresh around an aggressor row (used both
-     * for ARR commands and inside RFM windows). Occupies the bank for
-     * roughly one row cycle per victim row.
-     */
-    void preventiveRefresh(BankId b, RowId aggressor, Tick t);
+    std::size_t mitigate(BankId b, const Mitigation::Verdict &verdict,
+                         Tick t);
 
     RhOracle &oracle() { return oracle_; }
     const RhOracle &oracle() const { return oracle_; }
@@ -137,29 +146,35 @@ class Device
     const EnergyMeter &energy() const { return energy_; }
 
     /** Total RFM commands executed. */
-    std::uint64_t rfmCount() const { return rfmCount_; }
+    std::uint64_t rfmCount() const { return mitigation_.rfms(); }
     /** RFM commands whose preventive refresh was skipped (adaptive). */
     std::uint64_t rfmSkipped() const { return rfmSkipped_; }
     /** Preventive refresh operations (aggressors treated). */
-    std::uint64_t preventiveCount() const { return preventiveCount_; }
+    std::uint64_t preventiveCount() const
+    {
+        return mitigation_.preventive();
+    }
 
   private:
+    /** Commit a REF to one closed bank, busy for `busy` ticks. */
+    void refreshBank(BankId b, Tick t, Tick busy,
+                     std::uint32_t raa_decrement);
+
     Timing timing_;
     Geometry geometry_;
     std::vector<Bank> banks_;
     std::vector<RankTiming> ranks_;
     RhOracle oracle_;
+    Mitigation mitigation_;
     EnergyMeter energy_;
     trackers::RhProtection *tracker_ = nullptr;
     ActObserver actObserver_;
     std::uint32_t blastRadius_;
 
-    std::uint64_t rfmCount_ = 0;
     std::uint64_t rfmSkipped_ = 0;
-    std::uint64_t preventiveCount_ = 0;
 
-    /** RFM aggressor scratch — the shared reusable-buffer protocol
-     *  (trackers append, frontend drains). */
+    /** ARR aggressor scratch — the shared reusable-buffer protocol
+     *  (trackers append, the mitigation state takes them). */
     trackers::ActScratch scratch_;
 };
 

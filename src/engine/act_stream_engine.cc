@@ -33,7 +33,7 @@ ActStreamEngine::ActStreamEngine(const EngineConfig &config,
     : config_(config), tracker_(tracker),
       oracle_(config.geometry.totalBanks(), config.geometry.rowsPerBank,
               config.flipTh, config.blastRadius),
-      refreshGroups_(dram::refreshGroups(config.timing)),
+      mitigation_(config.timing, config.geometry),
       banks_(config.geometry.totalBanks())
 {
     MITHRIL_ASSERT(config_.geometry.totalBanks() > 0);
@@ -48,10 +48,7 @@ ActStreamEngine::ActStreamEngine(const EngineConfig &config,
     partRows_.resize(ActBatch::kCapacity);
     for (BankState &bs : banks_)
         bs.nextRef = config_.timing.tREFI;
-    if (tracker_) {
-        usesRfm_ = tracker_->usesRfm();
-        rfmTh_ = tracker_->rfmTh();
-    }
+    mitigation_.setTracker(tracker_);
     if (config_.telemetry) {
         events_ = config_.telemetry->events();
         heatmap_ = config_.telemetry->heatmap();
@@ -59,6 +56,7 @@ ActStreamEngine::ActStreamEngine(const EngineConfig &config,
             phases_ = &config_.telemetry->phases();
         if (events_) {
             oracle_.setEventRecorder(events_);
+            mitigation_.setEventRecorder(events_);
             if (tracker_)
                 tracker_->setEventRecorder(events_);
         }
@@ -69,10 +67,7 @@ void
 ActStreamEngine::maybeRefresh(BankState &bs, BankId bank)
 {
     while (bs.now >= bs.nextRef) {
-        if (config_.enableOracle)
-            oracle_.onAutoRefresh(bank, refreshGroups_);
-        if (tracker_)
-            tracker_->onRefresh(bank, bs.nextRef);
+        mitigation_.refresh(bank, bs.nextRef, 0, liveOracle());
         bs.now += config_.timing.tRFC;  // Bank blocked for tRFC.
         bs.nextRef += config_.timing.tREFI;
         ++bs.refs;
@@ -81,58 +76,20 @@ ActStreamEngine::maybeRefresh(BankState &bs, BankId bank)
 }
 
 void
-ActStreamEngine::applyArr(BankState &bs, BankId bank)
+ActStreamEngine::mitigate(BankState &bs, BankId bank, std::uint32_t acts)
 {
-    if (events_ && !scratch_.arr.empty()) {
-        events_->record(
-            telemetry::EventKind::ArrFired, bs.now, bank,
-            scratch_.arr.front(),
-            static_cast<std::uint32_t>(scratch_.arr.size()));
-    }
-    for (RowId aggressor : scratch_.arr) {
-        if (config_.enableOracle)
-            oracle_.onNeighborRefresh(bank, aggressor);
-        bs.now += static_cast<Tick>(2 * config_.blastRadius) *
-                  config_.timing.tRC;
-        ++bs.preventive;
-        ++preventive_;
-    }
-}
-
-void
-ActStreamEngine::maybeRfm(BankState &bs, BankId bank,
-                          std::uint32_t consumed)
-{
-    if (!tracker_ || !usesRfm_)
-        return;
-    bs.raa += consumed;
-    if (bs.raa < rfmTh_)
-        return;
-    bs.raa = 0;
-    if (tracker_->rfmPending(bank)) {
-        scratch_.reset();
-        tracker_->onRfm(bank, bs.now, scratch_.arr);
-        if (events_) {
-            events_->record(
-                telemetry::EventKind::RfmIssued, bs.now, bank,
-                scratch_.arr.empty() ? kInvalidRow
-                                     : scratch_.arr.front(),
-                static_cast<std::uint32_t>(scratch_.arr.size()));
+    mitigation_.noteActs(bank, acts, scratch_.arr);
+    using Kind = dram::Mitigation::Verdict::Kind;
+    for (dram::Mitigation::Verdict v = mitigation_.verdict(bank);
+         v.kind != Kind::None; v = mitigation_.verdict(bank)) {
+        mitigation_.commit(bank, v, bs.now, liveOracle());
+        if (v.kind == Kind::Rfm) {
+            bs.now += config_.timing.tRFM;
+        } else if (v.kind == Kind::Arr) {
+            bs.now += static_cast<Tick>(2 * config_.blastRadius) *
+                      config_.timing.tRC;
         }
-        for (RowId aggressor : scratch_.arr) {
-            if (config_.enableOracle)
-                oracle_.onNeighborRefresh(bank, aggressor);
-            ++bs.preventive;
-            ++preventive_;
-        }
-        bs.now += config_.timing.tRFM;
-        ++bs.rfms;
-        ++rfms_;
-    } else if (events_) {
-        events_->record(telemetry::EventKind::RfmSkipped, bs.now,
-                        bank, kInvalidRow);
     }
-    // Mithril+ MRR skip: no time cost beyond the poll.
 }
 
 void
@@ -168,16 +125,7 @@ ActStreamEngine::activate(BankId bank, RowId row)
     if (tracker_)
         tracker_->onActivate(bank, row, bs.now, scratch_.arr);
     bs.now += config_.timing.tRC;
-
-    // Immediate ARR work requested by reactive schemes.
-    applyArr(bs, bank);
-
-    // RFM cadence. Scalar dispatch re-reads the virtual per ACT,
-    // faithful to the historical harness loop; the cached values it
-    // must agree with are pinned constant by the RhProtection
-    // contract.
-    if (tracker_ && tracker_->usesRfm())
-        maybeRfm(bs, bank, 1);
+    mitigate(bs, bank, 1);
 }
 
 void
@@ -195,8 +143,7 @@ ActStreamEngine::processRun(BankState &bs, BankId bank,
         const Tick until_ref = bs.nextRef - bs.now;
         std::uint64_t cap = tRcDiv_.div(
             static_cast<std::uint64_t>(until_ref + t_rc - 1));
-        if (usesRfm_)
-            cap = std::min<std::uint64_t>(cap, rfmTh_ - bs.raa);
+        cap = std::min<std::uint64_t>(cap, mitigation_.actsUntilRfm(bank));
         cap = std::min<std::uint64_t>(cap, n);
 
         trackers::ActSpan span;
@@ -234,9 +181,7 @@ ActStreamEngine::processRun(BankState &bs, BankId bank,
         bs.acts += consumed;
         acts_ += consumed;
         bs.now += static_cast<Tick>(consumed) * t_rc;
-
-        applyArr(bs, bank);
-        maybeRfm(bs, bank, static_cast<std::uint32_t>(consumed));
+        mitigate(bs, bank, static_cast<std::uint32_t>(consumed));
 
         rows += consumed;
         n -= consumed;
@@ -344,8 +289,8 @@ ActStreamEngine::exportTelemetry()
     telemetry::MetricSheet &sheet = config_.telemetry->sheet();
     sheet.setCounter("engine.acts", acts_);
     sheet.setCounter("engine.refs", refs_);
-    sheet.setCounter("engine.rfms", rfms_);
-    sheet.setCounter("engine.preventive", preventive_);
+    sheet.setCounter("engine.rfms", mitigation_.rfms());
+    sheet.setCounter("engine.preventive", mitigation_.preventive());
     sheet.setCounter("engine.throttle_stalls", throttleStalls_);
     if (config_.enableOracle) {
         telemetry::exportOracle(sheet, oracle_.bitFlips(),

@@ -7,10 +7,13 @@
  * full dram::Geometry (channels x ranks x banks, each bank an independent
  * clock at one ACT per tRC), consumes SoA batches of activations from
  * an ActSource, and interleaves REF (every tREFI, per the refresh-group
- * rotation), RFM (every rfmTh() ACTs), immediate ARR work, and —
- * optionally — BlockHammer-style throttling per bank exactly as the
- * harness always has, while keeping the ground-truth oracle and the
- * ACT/REF/RFM/preventive counters per bank.
+ * rotation), the DDR5 mitigations its dram::Mitigation state owes (RFM
+ * every rfmTh() ACTs or its Mithril+ MRR skip, immediate ARR work),
+ * and — optionally — BlockHammer-style throttling per bank exactly as
+ * the harness always has, while keeping the ground-truth oracle and
+ * the ACT/REF/RFM/preventive counters per bank. Mitigations are
+ * committed inline: an RFM costs the bank tRFM, an ARR one row cycle
+ * per victim row, an MRR skip nothing.
  *
  * Two dispatch modes share all bookkeeping:
  *
@@ -41,6 +44,7 @@
 #include <vector>
 
 #include "common/simd.hh"
+#include "dram/mitigation.hh"
 #include "dram/rh_oracle.hh"
 #include "dram/timing.hh"
 #include "engine/act_source.hh"
@@ -136,8 +140,11 @@ class ActStreamEngine
     // Aggregate counters (sum over banks).
     std::uint64_t acts() const { return acts_; }
     std::uint64_t refs() const { return refs_; }
-    std::uint64_t rfms() const { return rfms_; }
-    std::uint64_t preventiveRefreshes() const { return preventive_; }
+    std::uint64_t rfms() const { return mitigation_.rfms(); }
+    std::uint64_t preventiveRefreshes() const
+    {
+        return mitigation_.preventive();
+    }
     std::uint64_t throttleStalls() const { return throttleStalls_; }
 
     // Per-bank counters.
@@ -151,11 +158,11 @@ class ActStreamEngine
     }
     std::uint64_t rfmsAt(BankId bank) const
     {
-        return banks_.at(bank).rfms;
+        return mitigation_.rfmsAt(bank);
     }
     std::uint64_t preventiveRefreshesAt(BankId bank) const
     {
-        return banks_.at(bank).preventive;
+        return mitigation_.preventiveAt(bank);
     }
 
     const EngineConfig &config() const { return config_; }
@@ -176,11 +183,8 @@ class ActStreamEngine
     {
         Tick now = 0;
         Tick nextRef = 0;
-        std::uint32_t raa = 0;
         std::uint64_t acts = 0;
         std::uint64_t refs = 0;
-        std::uint64_t rfms = 0;
-        std::uint64_t preventive = 0;
     };
     static_assert(sizeof(BankState) == 64,
                   "BankState must fill exactly one cache line");
@@ -190,11 +194,16 @@ class ActStreamEngine
     /** Catch the bank up on every REF due at or before its clock. */
     void maybeRefresh(BankState &bs, BankId bank);
 
-    /** Execute the immediate ARR work in scratch_ for the bank. */
-    void applyArr(BankState &bs, BankId bank);
+    /** Count `acts` ACTs of the bank and commit, on its clock,
+     *  every mitigation they made due. */
+    void mitigate(BankState &bs, BankId bank, std::uint32_t acts);
 
-    /** Per-ACT RFM cadence bookkeeping after `consumed` ACTs. */
-    void maybeRfm(BankState &bs, BankId bank, std::uint32_t consumed);
+    /** The oracle mitigations refresh: null when it is disabled. */
+    dram::RhOracle *
+    liveOracle()
+    {
+        return config_.enableOracle ? &oracle_ : nullptr;
+    }
 
     /** Batched-dispatch processing of one bank's contiguous rows. */
     void processRun(BankState &bs, BankId bank, const RowId *rows,
@@ -206,16 +215,12 @@ class ActStreamEngine
     EngineConfig config_;
     trackers::RhProtection *tracker_;
     dram::RhOracle oracle_;
+    dram::Mitigation mitigation_;
 
     // Telemetry taps hoisted out of the bundle (all null when off).
     telemetry::EventRecorder *events_ = nullptr;
     telemetry::ActHeatmap *heatmap_ = nullptr;
     telemetry::PhaseProfile *phases_ = nullptr;
-
-    // Tracker constants hoisted out of the hot loop (batched path).
-    bool usesRfm_ = false;
-    std::uint32_t rfmTh_ = 0;
-    std::uint32_t refreshGroups_;
 
     std::vector<BankState> banks_;
     trackers::ActScratch scratch_;
@@ -235,8 +240,6 @@ class ActStreamEngine
 
     std::uint64_t acts_ = 0;
     std::uint64_t refs_ = 0;
-    std::uint64_t rfms_ = 0;
-    std::uint64_t preventive_ = 0;
     std::uint64_t throttleStalls_ = 0;
 };
 

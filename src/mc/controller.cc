@@ -52,13 +52,14 @@ Controller::Controller(dram::Device &device, const AddressMap &map,
     MITHRIL_ASSERT(channel_ < geom.channels);
     firstRank_ = channel_ * geom.ranksPerChannel;
     firstBank_ = firstRank_ * geom.banksPerRank;
-    banks_.resize(geom.ranksPerChannel * geom.banksPerRank);
+    const std::uint32_t banks = geom.ranksPerChannel * geom.banksPerRank;
+    rowHitStreak_.assign(banks, 0);
     rankPass_.resize(geom.ranksPerChannel);
-    bankQueue_.resize(banks_.size());
+    bankQueue_.resize(banks);
     slotWords_ = (params_.queueCapacity + 63) / 64;
-    slotMask_.assign(banks_.size() * slotWords_, 0);
+    slotMask_.assign(banks * slotWords_, 0);
     passSlots_.assign(slotWords_, 0);
-    actTick_.assign(banks_.size(), 0);
+    actTick_.assign(banks, 0);
 
     const std::uint32_t total_ranks =
         geom.channels * geom.ranksPerChannel;
@@ -85,7 +86,7 @@ Controller::enqueue(const Request &req, Tick now)
                        "request for channel %u enqueued on the "
                        "channel-%u controller",
                        req.channel, channel_);
-    MITHRIL_ASSERT(req.bank - firstBank_ < banks_.size());
+    MITHRIL_ASSERT(req.bank - firstBank_ < bankQueue_.size());
     if (queue_.size() >= params_.queueCapacity)
         return false;
     Request stored = req;
@@ -122,8 +123,7 @@ Controller::updateBankQueue(std::uint32_t local)
         q.ready = bank.earliestAct(0);
     } else {
         const std::uint32_t hits =
-            banks_[local].rowHitStreak < params_.maxRowHits ? q.hitCount
-                                                            : 0;
+            rowHitStreak_[local] < params_.maxRowHits ? q.hitCount : 0;
         q.ready = std::min(hits ? bank.earliestCol(0) : kTickMax,
                            q.count > hits ? bank.earliestPre(0)
                                           : kTickMax);
@@ -152,7 +152,7 @@ Controller::indexConsistent() const
         if (!bank.isOpen())
             t = bank.earliestAct(0);
         else if (bank.openRow() == req.row &&
-                 banks_[local].rowHitStreak < params_.maxRowHits)
+                 rowHitStreak_[local] < params_.maxRowHits)
             t = bank.earliestCol(0);
         else
             t = bank.earliestPre(0);
@@ -184,46 +184,6 @@ Controller::noteServed(std::uint32_t core, Tick t)
         bliss_.lastCore = core;
         bliss_.streak = 1;
     }
-}
-
-void
-Controller::recountOwed(const BankCtl &ctl, bool owed_before)
-{
-    const bool owed = owes(ctl);
-    if (owed && !owed_before)
-        ++owedBanks_;
-    else if (!owed && owed_before)
-        --owedBanks_;
-}
-
-void
-Controller::decrementRaa(BankId bank)
-{
-    if (params_.raaRefDecrement == 0)
-        return;
-    BankCtl &ctl = bankCtl(bank);
-    if (ctl.rfmRequired)
-        return;  // An owed RFM is not cancelled by a REF.
-    ctl.raa = ctl.raa > params_.raaRefDecrement
-                  ? ctl.raa - params_.raaRefDecrement
-                  : 0;
-}
-
-void
-Controller::handleActSideEffects(BankId bank,
-                                 std::vector<RowId> &arr_out)
-{
-    BankCtl &ctl = bankCtl(bank);
-    const bool owed_before = owes(ctl);
-    auto *tracker = device_.tracker();
-    if (tracker && tracker->usesRfm()) {
-        if (++ctl.raa >= tracker->rfmTh())
-            ctl.rfmRequired = true;
-    }
-    for (RowId aggressor : arr_out)
-        ctl.pendingArr.push_back(aggressor);
-    arr_out.clear();
-    recountOwed(ctl, owed_before);
 }
 
 Controller::Decision
@@ -303,40 +263,38 @@ Controller::choose(Tick t0)
         wake = std::min(wake, d.issue);
     }
 
-    // Priority 2: RFM-required banks and pending ARR work.
+    // Priority 2: banks that owe an RFM or ARR. A Mithril+ MRR poll
+    // that finds the RFM needless skips it at once; an RFM or ARR
+    // needs the bank closed.
     Decision best;
     auto *tracker = device_.tracker();
+    const dram::Mitigation &mitigation = device_.mitigation();
+    const std::uint32_t owed = mitigation.owedBanks(channel_);
     std::uint32_t owed_seen = 0;
-    for (std::uint32_t i = 0; owedBanks_ != 0 && i < banks_per_channel;
-         ++i) {
+    for (std::uint32_t i = 0; owed != 0 && i < banks_per_channel; ++i) {
         const BankId b = firstBank_ + i;
-        BankCtl &ctl = banks_[i];
-        if (!owes(ctl))
+        if (!mitigation.owes(b))
             continue;
         ++owed_seen;
         const auto &bank = device_.bank(b);
         Decision d;
         d.bank = b;
-        if (ctl.rfmRequired && tracker && !tracker->rfmPending(b)) {
-            // Mithril+ MRR poll says no refresh needed: skip the RFM.
-            d.kind = Decision::Kind::MrrSkip;
+        d.verdict = mitigation.verdict(b);
+        if (d.verdict.kind == dram::Mitigation::Verdict::Kind::MrrSkip) {
+            d.kind = Decision::Kind::Mitigate;
             d.issue = t0;
         } else if (bank.isOpen()) {
             d.kind = Decision::Kind::Pre;
             d.issue = bank.earliestPre(t0);
-        } else if (ctl.rfmRequired) {
-            d.kind = Decision::Kind::Rfm;
-            d.issue = bank.earliestRefresh(t0);
         } else {
-            d.kind = Decision::Kind::Arr;
+            d.kind = Decision::Kind::Mitigate;
             d.issue = bank.earliestRefresh(t0);
-            d.arrAggressor = ctl.pendingArr.front();
         }
         if (d.issue < best.issue)
             best = d;
     }
     // The fences of Priority 3 trust the incremental count.
-    MITHRIL_ASSERT(owedBanks_ == 0 || owed_seen == owedBanks_);
+    MITHRIL_ASSERT(owed == 0 || owed_seen == owed);
     if (best.kind != Decision::Kind::None) {
         if (best.issue <= t0)
             return best;
@@ -354,7 +312,7 @@ Controller::choose(Tick t0)
     // full queue scan would. Every other unfenced bank can issue
     // nothing before t and only feeds the wake-up hint.
     const bool delays = tracker && tracker->delaysActs();
-    const bool any_owed = owedBanks_ != 0;
+    const bool any_owed = owed != 0;
     const std::uint32_t words = slotWords_;
     const std::uint64_t *const masks = slotMask_.data();
     std::uint64_t *const visit = passSlots_.data();
@@ -370,7 +328,8 @@ Controller::choose(Tick t0)
              ++i) {
             const BankQueue &q = bankQueue_[i];
             const Tick t = q.open ? q.ready : std::max(q.ready, pace);
-            const bool fenced = (any_owed && owes(banks_[i])) ||
+            const bool fenced = (any_owed &&
+                                 mitigation.owes(firstBank_ + i)) ||
                                 rank_drain ||
                                 firstBank_ + i == drain_bank;
             const bool relevant =
@@ -391,7 +350,7 @@ Controller::choose(Tick t0)
     bool throttling = false;
     const std::uint32_t max_hits = params_.maxRowHits;
     const dram::Bank *const dev_banks = &device_.bank(firstBank_);
-    const BankCtl *const ctls = banks_.data();
+    const std::uint32_t *const streaks = rowHitStreak_.data();
     const Tick *const act_tick = actTick_.data();
     const Tick *const bl_until = bliss_.blacklistUntil.data();
     const std::size_t bl_cores = bliss_.blacklistUntil.size();
@@ -405,7 +364,7 @@ Controller::choose(Tick t0)
             const dram::Bank &bank = dev_banks[local];
             const bool open_hit = bank.isOpen() &&
                                   bank.openRow() == req.row &&
-                                  ctls[local].rowHitStreak < max_hits;
+                                  streaks[local] < max_hits;
             const bool blacklisted =
                 req.coreId < bl_cores && bl_until[req.coreId] > t0;
             const int cls = (blacklisted ? 2 : 0) + (open_hit ? 0 : 1);
@@ -489,16 +448,14 @@ Controller::execute(const Decision &d)
     switch (d.kind) {
       case Decision::Kind::Pre: {
         device_.precharge(d.bank, d.issue);
-        bankCtl(d.bank).rowHitStreak = 0;
+        rowHitStreak_[d.bank - firstBank_] = 0;
         ++stats_.precharges;
         break;
       }
       case Decision::Kind::Act: {
         const Request &req = queue_[d.reqIndex];
-        scratch_.reset();
-        device_.activate(d.bank, req.row, d.issue, scratch_.arr);
-        handleActSideEffects(d.bank, scratch_.arr);
-        bankCtl(d.bank).rowHitStreak = 0;
+        device_.activate(d.bank, req.row, d.issue);
+        rowHitStreak_[d.bank - firstBank_] = 0;
         ++stats_.activates;
         ++stats_.rowMisses;
         break;
@@ -535,26 +492,20 @@ Controller::execute(const Decision &d)
             ++stats_.writes;
         }
         ++stats_.rowHits;
-        ++bankCtl(d.bank).rowHitStreak;
+        ++rowHitStreak_[d.bank - firstBank_];
         noteServed(req.coreId, d.issue);
         if (onComplete_)
             onComplete_(req, data);
         break;
       }
       case Decision::Kind::Ref: {
-        device_.autoRefreshRank(d.rank, d.issue);
+        device_.autoRefreshRank(d.rank, d.issue, params_.raaRefDecrement);
         refreshDue_[d.rank - firstRank_] += timing.tREFI;
         ++stats_.refreshes;
-        const BankId first =
-            d.rank * device_.geometry().banksPerRank;
-        for (std::uint32_t i = 0;
-             i < device_.geometry().banksPerRank; ++i) {
-            decrementRaa(first + i);
-        }
         break;
       }
       case Decision::Kind::RefSb: {
-        device_.autoRefreshBank(d.bank, d.issue);
+        device_.autoRefreshBank(d.bank, d.issue, params_.raaRefDecrement);
         // Bresenham remainder carry: banksPerRank REFsb steps must
         // span exactly tREFI, but the integer step truncates up to
         // banksPerRank-1 ticks per rotation. Spreading the remainder
@@ -573,47 +524,23 @@ Controller::execute(const Decision &d)
             (refreshBankPtr_[r] + 1) %
             device_.geometry().banksPerRank;
         ++stats_.refreshes;
-        decrementRaa(d.bank);
         break;
       }
-      case Decision::Kind::Rfm: {
-        const std::size_t treated = device_.rfm(d.bank, d.issue);
-        BankCtl &ctl = bankCtl(d.bank);
-        ctl.raa = 0;
-        ctl.rfmRequired = false;
-        recountOwed(ctl, true);
-        ++stats_.rfmIssued;
-        if (eventRecorder_) {
-            eventRecorder_->record(
-                telemetry::EventKind::RfmIssued, d.issue, d.bank,
-                kInvalidRow, static_cast<std::uint32_t>(treated));
-        }
-        break;
-      }
-      case Decision::Kind::MrrSkip: {
-        BankCtl &ctl = bankCtl(d.bank);
-        ctl.raa = 0;
-        ctl.rfmRequired = false;
-        recountOwed(ctl, true);
-        ++stats_.rfmSkippedByMrr;
-        bus_done = d.issue + params_.mrrLatency;
-        if (eventRecorder_) {
-            eventRecorder_->record(telemetry::EventKind::RfmSkipped,
-                                   d.issue, d.bank, kInvalidRow);
-        }
-        break;
-      }
-      case Decision::Kind::Arr: {
-        BankCtl &ctl = bankCtl(d.bank);
-        MITHRIL_ASSERT(!ctl.pendingArr.empty());
-        device_.preventiveRefresh(d.bank, d.arrAggressor, d.issue);
-        ctl.pendingArr.pop_front();
-        recountOwed(ctl, true);
-        ++stats_.arrExecuted;
-        if (eventRecorder_) {
-            eventRecorder_->record(telemetry::EventKind::ArrFired,
-                                   d.issue, d.bank, d.arrAggressor,
-                                   1);
+      case Decision::Kind::Mitigate: {
+        device_.mitigate(d.bank, d.verdict, d.issue);
+        switch (d.verdict.kind) {
+          case dram::Mitigation::Verdict::Kind::MrrSkip:
+            ++stats_.rfmSkippedByMrr;
+            bus_done = d.issue + params_.mrrLatency;
+            break;
+          case dram::Mitigation::Verdict::Kind::Rfm:
+            ++stats_.rfmIssued;
+            break;
+          case dram::Mitigation::Verdict::Kind::Arr:
+            ++stats_.arrExecuted;
+            break;
+          case dram::Mitigation::Verdict::Kind::None:
+            break;
         }
         break;
       }

@@ -4,12 +4,14 @@
  *
  * One Controller instance owns exactly one channel of the geometry:
  * its request queue, its command bus, its BLISS state, and — for the
- * channel's rank slice — the DDR5 RAA (rolling accumulated ACT)
- * counters, RFM issue at RFM_TH per Figure 1, pending ARR preventive
- * refreshes for the ARR-based baselines, and the auto-refresh cadence
- * (all-bank REF every tREFI, or the REFsb rotation). Requests are
- * arbitrated with BLISS (FR-FCFS + served-streak blacklisting) under
- * a minimalist-open page policy.
+ * channel's rank slice — the auto-refresh cadence (all-bank REF every
+ * tREFI, or the REFsb rotation) and the scheduling of the DDR5
+ * mitigations the device's dram::Mitigation state owes: RFM at RFM_TH
+ * per Figure 1, the Mithril+ MRR skip, and ARR preventive refreshes
+ * for the ARR-based baselines. A bank that owes one is fenced from
+ * demand traffic until it is committed. Requests are arbitrated with
+ * BLISS (FR-FCFS + served-streak blacklisting) under a
+ * minimalist-open page policy.
  *
  * A multi-channel System builds one Controller per channel and
  * interleaves their service() loops deterministically (min-tick, ties
@@ -35,7 +37,6 @@
 #ifndef MITHRIL_MC_CONTROLLER_HH
 #define MITHRIL_MC_CONTROLLER_HH
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -153,13 +154,21 @@ class Controller
      * ticks. Observation only — never affects scheduling. Null
      * detaches.
      */
-    void setEventRecorder(telemetry::EventRecorder *recorder)
+    void
+    setEventRecorder(telemetry::EventRecorder *recorder)
     {
         eventRecorder_ = recorder;
+        device_.mitigation().setEventRecorder(recorder);
     }
 
-    /** True when the queue and every pending-work list is empty. */
-    bool idle() const { return queue_.empty() && owedBanks_ == 0; }
+    /** True when the queue is empty and no owned bank owes an RFM or
+     *  ARR. */
+    bool
+    idle() const
+    {
+        return queue_.empty() &&
+               device_.mitigation().owedBanks(channel_) == 0;
+    }
 
     /**
      * Self-check of the bank index: recomputes every owned bank's
@@ -195,9 +204,7 @@ class Controller
             Wr,
             Ref,
             RefSb,
-            Rfm,
-            MrrSkip,
-            Arr,
+            Mitigate,  //!< Commit the bank's mitigation verdict.
         };
 
         Kind kind = Kind::None;
@@ -205,15 +212,7 @@ class Controller
         BankId bank = 0;            //!< Global (system-flat) bank id.
         std::uint32_t rank = 0;     //!< Global flat rank id.
         std::size_t reqIndex = 0;   //!< For Rd/Wr/Act/Pre on a request.
-        RowId arrAggressor = 0;
-    };
-
-    struct BankCtl
-    {
-        std::uint32_t raa = 0;
-        bool rfmRequired = false;
-        std::deque<RowId> pendingArr;
-        std::uint32_t rowHitStreak = 0;
+        dram::Mitigation::Verdict verdict;  //!< For Mitigate.
     };
 
     struct BlissState
@@ -263,22 +262,6 @@ class Controller
 
     void noteServed(std::uint32_t core, Tick t);
 
-    /** True while a bank owes an RFM or ARR: it is fenced from demand
-     *  traffic and counted in owedBanks_. */
-    static bool
-    owes(const BankCtl &ctl)
-    {
-        return ctl.rfmRequired || !ctl.pendingArr.empty();
-    }
-    /** Re-count a bank in owedBanks_ after its RFM/ARR state changed
-     *  from `owed_before`. */
-    void recountOwed(const BankCtl &ctl, bool owed_before);
-
-    /** Apply the DDR5 RAA decrement to one refreshed bank. */
-    void decrementRaa(BankId bank);
-
-    void handleActSideEffects(BankId bank, std::vector<RowId> &arr_out);
-
     /** Bring an owned bank's BankQueue up to date with the device and
      *  the bank's row-hit streak. */
     void updateBankQueue(std::uint32_t local);
@@ -288,9 +271,6 @@ class Controller
     {
         return &slotMask_[local * slotWords_];
     }
-
-    /** Per-bank control state of a global bank id in our channel. */
-    BankCtl &bankCtl(BankId bank) { return banks_[bank - firstBank_]; }
 
     dram::Device &device_;
     const AddressMap &map_;
@@ -312,8 +292,8 @@ class Controller
      *  carry spreads the remainder Bresenham-style so banksPerRank
      *  REFsb commands span exactly tREFI. */
     std::vector<Tick> refsbCarry_;
-    std::vector<BankCtl> banks_;                 //!< Per owned bank.
-    std::uint32_t owedBanks_ = 0;  //!< Owned banks that owe RFM/ARR.
+    /** Per owned bank: column commands since its last ACT. */
+    std::vector<std::uint32_t> rowHitStreak_;
 
     std::vector<RankPass> rankPass_;  //!< Per owned rank, this pass.
     std::vector<BankQueue> bankQueue_;   //!< Per owned bank.
@@ -329,9 +309,6 @@ class Controller
 
     std::uint64_t seq_ = 0;
     ControllerStats stats_;
-    /** ARR/RFM aggressor scratch — the same reusable-buffer protocol
-     *  the ActStream engine uses (trackers append, frontend drains). */
-    trackers::ActScratch scratch_;
     /** Non-null while mitigation-event tracing is enabled. */
     telemetry::EventRecorder *eventRecorder_ = nullptr;
 };

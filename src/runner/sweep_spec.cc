@@ -193,11 +193,22 @@ SweepSpec::fromParams(const ParamSet &params,
     }
 
     // The scalars go through the spec's knob table, ranges included,
-    // so an out-of-range value dies here like a malformed axis.
+    // so an out-of-range value dies here like a malformed axis; so
+    // does every value of the knob-backed axes.
     spec.base.readKnobs(params,
                         sim::ExperimentSpec::KnobSet::SweepScalars);
+    const auto check_axis = [](const auto &values, auto member) {
+        for (const auto value : values) {
+            sim::ExperimentSpec probe;
+            probe.*member = value;
+            probe.checkRanges();
+        }
+    };
     try {
         spec.base.checkRanges();
+        check_axis(spec.flipThs, &sim::ExperimentSpec::flipTh);
+        check_axis(spec.rfmThs, &sim::ExperimentSpec::rfmTh);
+        check_axis(spec.shardsList, &sim::ExperimentSpec::shards);
     } catch (const registry::SpecError &err) {
         fatal("%s", err.what());
     }

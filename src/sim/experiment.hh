@@ -15,7 +15,6 @@
 
 #include "sim/experiment_spec.hh"
 #include "sim/system.hh"
-#include "sim/workload_suite.hh"
 
 namespace mithril::sim
 {

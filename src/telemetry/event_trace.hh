@@ -29,9 +29,11 @@ namespace mithril::telemetry
  *  oracle. Keep in sync with eventKindName(). */
 enum class EventKind : std::uint8_t
 {
-    RfmIssued,     //!< MC issued an RFM command (arg = RAA at issue).
+    RfmIssued,     //!< An RFM was issued (arg = aggressors treated,
+                   //!< row = the first of them or kInvalidRow).
     RfmSkipped,    //!< Mithril+ MRR poll skipped a needless RFM.
-    ArrFired,      //!< ARR preventive refresh (arg = aggressor count).
+    ArrFired,      //!< ARR preventive refresh of one aggressor (row;
+                   //!< arg = 1): one event per aggressor.
     ThrottleStall, //!< BlockHammer delayed an ACT (dur = stall ticks).
     CbsInsert,     //!< CbS table inserted a new row entry.
     CbsEvict,      //!< CbS table evicted a minimum entry (overflow).

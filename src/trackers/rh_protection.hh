@@ -65,10 +65,11 @@ struct ActSpan
 };
 
 /**
- * Reusable aggressor scratch shared by every frontend — engine runs,
- * the single-bank harness wrapper, and the MC's ARR/RFM protocol.
- * One heap buffer, cleared (capacity kept) between uses, so steady
- * state performs zero allocations.
+ * Reusable aggressor scratch shared by every caller of the scheme —
+ * the engine's and the device's ACT paths (ARR rows) and the shared
+ * mitigation state's RFM commit (dram::Mitigation). One heap buffer,
+ * cleared (capacity kept) between uses, so steady state performs zero
+ * allocations.
  */
 struct ActScratch
 {

@@ -18,6 +18,7 @@
 #include "dram/bank.hh"
 #include "dram/device.hh"
 #include "dram/energy.hh"
+#include "dram/mitigation.hh"
 #include "dram/rank.hh"
 #include "dram/rh_oracle.hh"
 #include "dram/timing.hh"
@@ -598,38 +599,138 @@ TEST(OracleTable, EraseChainsWrapPastTableEnd)
     }
 }
 
+/** A test scheme: without an RFM threshold it asks for an ARR of
+ *  every activated row; with one it owes an RFM every `rfm_th` ACTs
+ *  and treats nothing in it. */
+class EchoTracker : public trackers::RhProtection
+{
+  public:
+    explicit EchoTracker(std::uint32_t rfm_th = 0) : rfmTh_(rfm_th) {}
+
+    std::string name() const override { return "echo"; }
+    trackers::Location location() const override
+    {
+        return trackers::Location::Mc;
+    }
+    bool usesRfm() const override { return rfmTh_ > 0; }
+    std::uint32_t rfmTh() const override { return rfmTh_; }
+    void
+    onActivate(BankId, RowId row, Tick, std::vector<RowId> &arr) override
+    {
+        if (rfmTh_ == 0)
+            arr.push_back(row);
+    }
+    double tableBytesPerBank() const override { return 0.0; }
+
+  private:
+    std::uint32_t rfmTh_;
+};
+
+using Kind = Mitigation::Verdict::Kind;
+
 TEST(DeviceTest, ActivateInformsOracleAndMeters)
 {
     const Timing timing = ddr5_4800();
     Geometry geom = paperGeometry();
     Device device(timing, geom, 1000);
-    std::vector<RowId> arr;
-    device.activate(3, 50, 0, arr);
+    device.activate(3, 50, 0);
     EXPECT_EQ(device.energy().acts(), 1u);
     EXPECT_DOUBLE_EQ(device.oracle().disturbance(3, 51), 1.0);
     EXPECT_TRUE(device.bank(3).isOpen());
 }
 
-TEST(DeviceTest, RfmWithoutTrackerSkips)
+TEST(DeviceTest, RfmWithoutAggressorsCountsAsSkipped)
 {
     const Timing timing = ddr5_4800();
     Device device(timing, paperGeometry(), 1000);
-    EXPECT_EQ(device.rfm(0, 0), 0u);
+    EchoTracker tracker(1);
+    device.setTracker(&tracker);
+    device.activate(0, 100, 0);
+    device.precharge(0, device.bank(0).earliestPre(0));
+    const Mitigation::Verdict verdict = device.mitigation().verdict(0);
+    ASSERT_EQ(verdict.kind, Kind::Rfm);
+    EXPECT_EQ(device.mitigate(0, verdict, timing.tRC * 4), 0u);
     EXPECT_EQ(device.rfmCount(), 1u);
     EXPECT_EQ(device.rfmSkipped(), 1u);
+    EXPECT_FALSE(device.mitigation().owes(0));
 }
 
 TEST(DeviceTest, PreventiveRefreshClearsVictimsAndCharges)
 {
     const Timing timing = ddr5_4800();
     Device device(timing, paperGeometry(), 1000);
-    std::vector<RowId> arr;
-    device.activate(0, 100, 0, arr);
+    EchoTracker tracker;
+    device.setTracker(&tracker);
+    device.activate(0, 100, 0);
     device.precharge(0, device.bank(0).earliestPre(0));
-    device.preventiveRefresh(0, 100, timing.tRC * 4);
+    const Mitigation::Verdict verdict = device.mitigation().verdict(0);
+    ASSERT_EQ(verdict.kind, Kind::Arr);
+    EXPECT_EQ(verdict.row, 100u);
+    EXPECT_EQ(device.mitigate(0, verdict, timing.tRC * 4), 1u);
     EXPECT_DOUBLE_EQ(device.oracle().disturbance(0, 101), 0.0);
     EXPECT_EQ(device.energy().preventiveRows(), 2u);
     EXPECT_EQ(device.preventiveCount(), 1u);
+    EXPECT_FALSE(device.mitigation().owes(0));
+}
+
+TEST(MitigationTest, ArrQueueIsFirstInFirstOut)
+{
+    const Timing timing = ddr5_4800();
+    Mitigation mitigation(timing, paperGeometry());
+    EchoTracker tracker;
+    mitigation.setTracker(&tracker);
+    mitigation.noteActs(5, 1, {7, 9});
+    mitigation.noteActs(5, 1, {11});
+    for (RowId want : {7u, 9u, 11u}) {
+        const Mitigation::Verdict verdict = mitigation.verdict(5);
+        ASSERT_EQ(verdict.kind, Kind::Arr);
+        EXPECT_EQ(verdict.row, want);
+        EXPECT_EQ(mitigation.commit(5, verdict, 0, nullptr), 1u);
+    }
+    EXPECT_EQ(mitigation.verdict(5).kind, Kind::None);
+    EXPECT_EQ(mitigation.preventiveAt(5), 3u);
+}
+
+TEST(MitigationTest, RaaOwesAnRfmAtTheThresholdAndRefDecrementsIt)
+{
+    const Timing timing = ddr5_4800();
+    Mitigation mitigation(timing, paperGeometry());
+    EchoTracker tracker(8);
+    mitigation.setTracker(&tracker);
+    mitigation.noteActs(0, 6, {});
+    EXPECT_EQ(mitigation.actsUntilRfm(0), 2u);
+    mitigation.refresh(0, 0, 4, nullptr);
+    EXPECT_EQ(mitigation.actsUntilRfm(0), 6u);
+    mitigation.refresh(0, 0, 4, nullptr);
+    EXPECT_EQ(mitigation.actsUntilRfm(0), 8u);  // Saturates at 0.
+    mitigation.noteActs(0, 8, {});
+    EXPECT_TRUE(mitigation.owes(0));
+    // A REF never cancels an owed RFM.
+    mitigation.refresh(0, 0, 4, nullptr);
+    ASSERT_EQ(mitigation.verdict(0).kind, Kind::Rfm);
+    mitigation.commit(0, mitigation.verdict(0), 0, nullptr);
+    EXPECT_FALSE(mitigation.owes(0));
+    EXPECT_EQ(mitigation.actsUntilRfm(0), 8u);
+    EXPECT_EQ(mitigation.rfms(), 1u);
+}
+
+TEST(MitigationTest, OwedBanksAreCountedPerChannel)
+{
+    const Timing timing = ddr5_4800();
+    const Geometry geom = paperGeometry();  // 32 banks per channel.
+    Mitigation mitigation(timing, geom);
+    EchoTracker tracker;
+    mitigation.setTracker(&tracker);
+    mitigation.noteActs(3, 1, {1});
+    mitigation.noteActs(3, 1, {2});
+    mitigation.noteActs(40, 1, {3});
+    EXPECT_EQ(mitigation.owedBanks(0), 1u);
+    EXPECT_EQ(mitigation.owedBanks(1), 1u);
+    mitigation.commit(3, mitigation.verdict(3), 0, nullptr);
+    EXPECT_EQ(mitigation.owedBanks(0), 1u);
+    mitigation.commit(3, mitigation.verdict(3), 0, nullptr);
+    EXPECT_EQ(mitigation.owedBanks(0), 0u);
+    EXPECT_EQ(mitigation.owedBanks(1), 1u);
 }
 
 TEST(DeviceTest, AutoRefreshBlocksEveryBankOfRank)

@@ -599,8 +599,7 @@ TEST_F(ControllerTest, PerBankRefreshKeepsOracleCovered)
     ControllerParams params;
     params.perBankRefresh = true;
     build(nullptr, params);
-    std::vector<RowId> arr;
-    device_->activate(3, 100, 0, arr);
+    device_->activate(3, 100, 0);
     device_->precharge(3, device_->bank(3).earliestPre(0));
     // A full tREFW of REFsb rotation refreshes every row of the bank.
     Tick now = timing_.tRP + timing_.tRAS;

@@ -17,7 +17,7 @@
 #include "core/mithril.hh"
 #include "mc/address_map.hh"
 #include "sim/system.hh"
-#include "sim/workload_suite.hh"
+#include "registry/workload_registry.hh"
 #include "workload/trace.hh"
 
 namespace mithril::sim
@@ -176,8 +176,9 @@ runMixOnce(std::uint32_t mc_threads)
     for (std::uint32_t i = 0; i < 4; ++i) {
         cpu::CoreParams params;
         params.instrBudget = 20000;
-        system.addCore(params, makeWorkloadThread(WorkloadKind::MixHigh,
-                                                  i, 4, 1));
+        system.addCore(params, registry::makeWorkload("mix-high",
+                                                      ParamSet(),
+                                                      {i, 4, 1}));
     }
     system.run();
 

@@ -379,11 +379,12 @@ TEST(SweepSpec, FromParamsRejectsUnknownKeysAndBadRanges)
         EXPECT_NE(capture.find("rfm-graphene"), std::string::npos)
             << capture;
     }
-    // Out-of-range scalars die at parse time with the legal range,
-    // not as per-job FAILED rows after the sweep has run.
+    // Out-of-range scalars and axis values die at parse time with the
+    // legal range, not as per-job FAILED rows after the sweep has run.
     for (const char *text :
          {"cores=0", "mc-threads=5000", "heatmap-regions=0",
-          "trace-capacity=0", "blast-radius=5", "channels=3"}) {
+          "trace-capacity=0", "blast-radius=5", "channels=3", "flip=0",
+          "flip=50000,0", "rfm=100000000", "shards=1,70000"}) {
         std::string capture;
         setLogCapture(&capture);
         EXPECT_THROW(SweepSpec::fromParams(ParamSet::fromString(text)),

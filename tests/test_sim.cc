@@ -13,6 +13,7 @@
 #include "core/mithril.hh"
 #include "engine/act_stream_engine.hh"
 #include "registry/scheme_registry.hh"
+#include "registry/workload_registry.hh"
 #include "sim/event_queue.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -359,8 +360,8 @@ TEST(SystemIntegration, ExportStatsCoversComponents)
     System system(cfg, nullptr);
     cpu::CoreParams params;
     params.instrBudget = 5000;
-    system.addCore(params,
-                   makeWorkloadThread(WorkloadKind::MixHigh, 0, 1, 1));
+    system.addCore(params, registry::makeWorkload("mix-high", ParamSet(),
+                                                  {0, 1, 1}));
     system.run();
 
     telemetry::MetricSheet sheet;
