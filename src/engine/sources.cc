@@ -1,5 +1,6 @@
 #include "sources.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -84,47 +85,81 @@ MultiBankSource::MultiBankSource(std::string name,
         if (left == 0 ||
             (bank != kUndeclared && (bank < lo || bank >= hi)))
             continue;
-        lanes_.push_back(Lane{std::move(gen), bank, left});
+        auto *attack = dynamic_cast<workload::TargetedAttack *>(gen.get());
+        lanes_.push_back(Lane{std::move(gen), attack, bank, left, {}});
     }
+}
+
+void
+MultiBankSource::refill(Lane &lane)
+{
+    lane.rows.resize(static_cast<std::size_t>(
+        std::min<std::uint64_t>(kLaneRows, lane.left)));
+    lane.attack->fillRows(lane.rows.data(), lane.rows.size());
+    lane.nextRow = 0;
+#ifndef NDEBUG
+    // The row hook skips the compose/decode round trip; check it
+    // against that round trip here.
+    mc::Request req;
+    for (const RowId row : lane.rows) {
+        req.addr = lane.attack->hammer(row).addr;
+        map_.decode(req);
+        MITHRIL_ASSERT_MSG(req.bank == lane.bank && req.row == row,
+                           "generator '%s' row %u composes to bank %u "
+                           "row %u, not bank %u",
+                           lane.gen->name().c_str(), row, req.bank,
+                           req.row, lane.bank);
+    }
+#endif
 }
 
 std::size_t
 MultiBankSource::fill(ActBatch &batch, std::size_t limit)
 {
     std::size_t appended = 0;
+    // A local cursor: the batch's stores may alias cursor_, which
+    // would chain every record through a store and a reload.
+    std::size_t cursor = cursor_;
     mc::Request req;
     while (appended < limit && !lanes_.empty() && !batch.full()) {
-        if (cursor_ >= lanes_.size())
-            cursor_ = 0;
-        Lane &lane = lanes_[cursor_];
-        const auto rec = lane.gen->next();
-        if (!rec) {
-            MITHRIL_ASSERT_MSG(lane.bank == kUndeclared,
+        if (cursor >= lanes_.size())
+            cursor = 0;
+        Lane &lane = lanes_[cursor];
+        if (lane.attack) {
+            if (lane.nextRow == lane.rows.size())
+                refill(lane);
+            batch.push(lane.bank, lane.rows[lane.nextRow++]);
+        } else {
+            const auto rec = lane.gen->next();
+            if (!rec) {
+                MITHRIL_ASSERT_MSG(lane.bank == kUndeclared,
+                                   "generator '%s' declared bank %u "
+                                   "but ended",
+                                   lane.gen->name().c_str(), lane.bank);
+                lanes_.erase(lanes_.begin() +
+                             static_cast<std::ptrdiff_t>(cursor));
+                continue;
+            }
+            req.addr = rec->addr;
+            map_.decode(req);
+            MITHRIL_ASSERT_MSG(lane.bank == kUndeclared ||
+                                   req.bank == lane.bank,
                                "generator '%s' declared bank %u but "
-                               "ended",
-                               lane.gen->name().c_str(), lane.bank);
-            lanes_.erase(lanes_.begin() +
-                         static_cast<std::ptrdiff_t>(cursor_));
-            continue;
+                               "aimed at bank %u",
+                               lane.gen->name().c_str(), lane.bank,
+                               req.bank);
+            batch.push(req.bank, req.row);
         }
-        req.addr = rec->addr;
-        map_.decode(req);
-        MITHRIL_ASSERT_MSG(lane.bank == kUndeclared ||
-                               req.bank == lane.bank,
-                           "generator '%s' declared bank %u but "
-                           "aimed at bank %u",
-                           lane.gen->name().c_str(), lane.bank,
-                           req.bank);
-        batch.push(req.bank, req.row);
         ++appended;
         // A lane that spent its share leaves the rotation; the
         // cursor then already points at its successor.
         if (--lane.left == 0)
             lanes_.erase(lanes_.begin() +
-                         static_cast<std::ptrdiff_t>(cursor_));
+                         static_cast<std::ptrdiff_t>(cursor));
         else
-            ++cursor_;
+            ++cursor;
     }
+    cursor_ = cursor;
     return appended;
 }
 

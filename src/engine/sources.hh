@@ -7,7 +7,10 @@
  * Both adapters decode each record's physical address through the MC
  * address map, so a source aims at exactly the (channel, rank, bank,
  * row) its generator composed — the same address semantics the full
- * System uses. The registry entries ("trace-file", "attack") live in
+ * System uses. The exception is a workload::TargetedAttack, whose
+ * rows MultiBankSource reads straight from its row hook: they are
+ * by construction the rows its records compose to (checked in Debug
+ * builds). The registry entries ("trace-file", "attack") live in
  * sources.cc; registry::makeActSource() builds them by name.
  */
 
@@ -21,6 +24,7 @@
 
 #include "engine/act_source.hh"
 #include "mc/address_map.hh"
+#include "workload/attacks.hh"
 #include "workload/trace.hh"
 
 namespace mithril::engine
@@ -60,6 +64,11 @@ class TraceActSource : public ActSource
  * aimed inside [lo, hi), and caps each at its share of the global
  * round-robin prefix. Otherwise it returns nullptr and the sharded
  * engine filters a full copy instead.
+ *
+ * A workload::TargetedAttack lane is drained through its row hook
+ * into a small per-lane buffer, with no compose, decode or virtual
+ * call per record; every other lane pulls next() and decodes each
+ * record, checking it against the declared bank.
  */
 class MultiBankSource : public ActSource
 {
@@ -85,13 +94,24 @@ class MultiBankSource : public ActSource
     /** No declared bank. */
     static constexpr BankId kUndeclared = ~BankId{0};
 
+    /** Rows a TargetedAttack lane buffers per refill. */
+    static constexpr std::size_t kLaneRows = 256;
+
     /** One generator still in the rotation. */
     struct Lane
     {
         std::unique_ptr<workload::TraceGenerator> gen;
+        /** `gen` when it is a row-hook attack, else nullptr. */
+        workload::TargetedAttack *attack;
         BankId bank;          //!< Declared flat bank, or kUndeclared.
         std::uint64_t left;   //!< Records it may still emit.
+        std::vector<RowId> rows;  //!< Buffered rows of `attack`.
+        std::size_t nextRow = 0;  //!< First unread buffered row.
     };
+
+    /** Refill `lane.rows` with the next min(kLaneRows, left) rows of
+     *  its attack. */
+    void refill(Lane &lane);
 
     /** The generators aimed inside [lo, hi) (undeclared ones
      *  always), each capped at its share of the first `budget`

@@ -358,8 +358,7 @@ runExperiment(const ExperimentSpec &spec)
     m.throttleStalls = stats.throttleStalls;
     m.avgReadLatencyNs = stats.avgReadLatencyNs();
     m.p95ReadLatencyNs = stats.readLatencyNs.percentile(0.95);
-    m.preventiveRefreshes =
-        system.preventiveCount() + stats.arrExecuted;
+    m.preventiveRefreshes = system.preventiveCount();
 
     m.maxDisturbance = system.maxDisturbanceEver();
     m.bitFlips = system.bitFlips();

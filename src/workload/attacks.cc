@@ -10,11 +10,39 @@
 namespace mithril::workload
 {
 
+namespace
+{
+
+/** rows[i] = base + 2 * idx over a rotation of `count` rows. */
+void
+rotate(RowId *rows, std::size_t n, RowId base, std::uint32_t count,
+       std::uint32_t &idx)
+{
+    // A local index: `rows` may alias `idx`, which would force a
+    // reload after every store.
+    std::uint32_t at = idx;
+    for (std::size_t i = 0; i < n; ++i) {
+        rows[i] = base + 2 * at;
+        if (++at == count)
+            at = 0;
+    }
+    idx = at;
+}
+
+} // namespace
+
+std::optional<TraceRecord>
+TargetedAttack::next()
+{
+    RowId row;
+    fillRows(&row, 1);
+    return hammer(row);
+}
+
 TraceRecord
-TargetedAttack::hammer(RowId row)
+TargetedAttack::hammer(RowId row) const
 {
     MITHRIL_ASSERT(target_.map != nullptr);
-    ++produced_;
     TraceRecord rec;
     rec.gap = 1;
     rec.uncached = true;
@@ -29,12 +57,13 @@ DoubleSidedAttack::DoubleSidedAttack(const AttackTarget &target)
 {
 }
 
-std::optional<TraceRecord>
-DoubleSidedAttack::next()
+void
+DoubleSidedAttack::fillRows(RowId *rows, std::size_t n)
 {
-    const RowId row =
-        (produced_ % 2 == 0) ? target_.baseRow : target_.baseRow + 2;
-    return hammer(row);
+    for (std::size_t i = 0; i < n; ++i) {
+        rows[i] = odd_ ? target_.baseRow + 2 : target_.baseRow;
+        odd_ = !odd_;
+    }
 }
 
 MultiSidedAttack::MultiSidedAttack(const AttackTarget &target,
@@ -44,14 +73,12 @@ MultiSidedAttack::MultiSidedAttack(const AttackTarget &target,
     MITHRIL_ASSERT(victims >= 1);
 }
 
-std::optional<TraceRecord>
-MultiSidedAttack::next()
+void
+MultiSidedAttack::fillRows(RowId *rows, std::size_t n)
 {
     // Aggressors at baseRow, baseRow+2, ... — every odd row between
     // two aggressors is a victim hammered from both sides.
-    const std::uint32_t idx =
-        static_cast<std::uint32_t>(produced_ % aggressors_);
-    return hammer(target_.baseRow + 2 * idx);
+    rotate(rows, n, target_.baseRow, aggressors_, idx_);
 }
 
 RfmOptimalAttack::RfmOptimalAttack(const AttackTarget &target,
@@ -61,12 +88,10 @@ RfmOptimalAttack::RfmOptimalAttack(const AttackTarget &target,
     MITHRIL_ASSERT(distinct_rows >= 1);
 }
 
-std::optional<TraceRecord>
-RfmOptimalAttack::next()
+void
+RfmOptimalAttack::fillRows(RowId *rows, std::size_t n)
 {
-    const std::uint32_t idx =
-        static_cast<std::uint32_t>(produced_ % distinctRows_);
-    return hammer(target_.baseRow + 2 * idx);
+    rotate(rows, n, target_.baseRow, distinctRows_, idx_);
 }
 
 ConcentrationAttack::ConcentrationAttack(const AttackTarget &target,
@@ -86,20 +111,21 @@ ConcentrationAttack::finalVictim() const
     return target_.baseRow + 2 * (rows_ - 1) - 1;
 }
 
-std::optional<TraceRecord>
-ConcentrationAttack::next()
+void
+ConcentrationAttack::fillRows(RowId *rows, std::size_t n)
 {
-    RowId row;
+    // Round-robin so all Q rows cross the threshold back to back.
+    std::size_t i = 0;
     if (produced_ < phase1Records_) {
-        // Round-robin so all Q rows cross the threshold back to back.
-        row = target_.baseRow +
-              2 * static_cast<RowId>(produced_ % rows_);
-    } else {
-        // Keep hammering the last pair while the queue drains.
-        const bool even = (produced_ % 2) == 0;
-        row = target_.baseRow + 2 * (rows_ - 1) - (even ? 2 : 0);
+        i = static_cast<std::size_t>(
+            std::min<std::uint64_t>(n, phase1Records_ - produced_));
+        rotate(rows, i, target_.baseRow, rows_, idx_);
     }
-    return hammer(row);
+    // Then keep hammering the last pair while the queue drains.
+    const RowId upper = target_.baseRow + 2 * (rows_ - 1);
+    for (std::uint64_t k = produced_ + i; i < n; ++i, ++k)
+        rows[i] = (k & 1) == 0 ? upper - 2 : upper;
+    produced_ += n;
 }
 
 ProfiledAliasAttack::ProfiledAliasAttack(std::vector<Addr> targets)
@@ -129,17 +155,19 @@ CbfPollutionAttack::CbfPollutionAttack(const AttackTarget &target,
     MITHRIL_ASSERT(bursts >= 1);
 }
 
-std::optional<TraceRecord>
-CbfPollutionAttack::next()
+void
+CbfPollutionAttack::fillRows(RowId *rows, std::size_t n)
 {
     // Interleave two rows inside each burst so every request forces a
     // fresh activation, sweeping the whole pollution set repeatedly.
-    const std::uint64_t pair_step = produced_ / (2 * bursts_);
-    const std::uint32_t pair =
-        static_cast<std::uint32_t>(pair_step % (rows_ / 2));
-    const RowId row =
-        target_.baseRow + 2 * (2 * pair + (produced_ % 2));
-    return hammer(row);
+    for (std::size_t i = 0; i < n; ++i) {
+        rows[i] = target_.baseRow + 2 * (2 * pair_ + (inBurst_ & 1));
+        if (++inBurst_ == 2 * bursts_) {
+            inBurst_ = 0;
+            if (++pair_ == rows_ / 2)
+                pair_ = 0;
+        }
+    }
 }
 
 // ------------------------------------------------------ registration

@@ -26,6 +26,7 @@
 #ifndef MITHRIL_WORKLOAD_ATTACKS_HH
 #define MITHRIL_WORKLOAD_ATTACKS_HH
 
+#include <cstddef>
 #include <vector>
 
 #include "common/random.hh"
@@ -49,14 +50,29 @@ struct AttackTarget
  * Base of the generators that hammer rows of one AttackTarget bank
  * forever: declares that bank (TraceGenerator::targetBank) and
  * composes each record through the target's map.
+ *
+ * Each attack defines its row sequence once, in fillRows(); next()
+ * is built from that hook, so the System attacker core (records) and
+ * the engine's attack source (rows, no compose/decode round trip)
+ * read one definition. Both are final: a generator cannot declare a
+ * bank other than the one it composes to.
  */
 class TargetedAttack : public TraceGenerator
 {
   public:
-    std::optional<BankCoord> targetBank() const override
+    std::optional<TraceRecord> next() final;
+
+    std::optional<BankCoord> targetBank() const final
     {
         return BankCoord{target_.channel, target_.rank, target_.bank};
     }
+
+    /** Write the next `n` rows of the sequence and advance past
+     *  them; interleaves freely with next(). */
+    virtual void fillRows(RowId *rows, std::size_t n) = 0;
+
+    /** The record of one ACT of `row` in the target bank. */
+    TraceRecord hammer(RowId row) const;
 
   protected:
     explicit TargetedAttack(const AttackTarget &target)
@@ -64,11 +80,7 @@ class TargetedAttack : public TraceGenerator
     {
     }
 
-    /** The next record: one ACT of `row` in the target bank. */
-    TraceRecord hammer(RowId row);
-
     AttackTarget target_;
-    std::uint64_t produced_ = 0;  //!< Records emitted so far.
 };
 
 /** Classic double-sided hammer around baseRow+1. */
@@ -77,11 +89,14 @@ class DoubleSidedAttack : public TargetedAttack
   public:
     explicit DoubleSidedAttack(const AttackTarget &target);
 
-    std::optional<TraceRecord> next() override;
+    void fillRows(RowId *rows, std::size_t n) override;
     std::string name() const override { return "double-sided"; }
 
     /** The victim row between the two aggressors. */
     RowId victimRow() const { return target_.baseRow + 1; }
+
+  private:
+    bool odd_ = false;  //!< Next row is the upper aggressor.
 };
 
 /** TRRespass-style multi-sided hammer. */
@@ -95,11 +110,12 @@ class MultiSidedAttack : public TargetedAttack
     MultiSidedAttack(const AttackTarget &target,
                      std::uint32_t victims = 32);
 
-    std::optional<TraceRecord> next() override;
+    void fillRows(RowId *rows, std::size_t n) override;
     std::string name() const override { return "multi-sided"; }
 
   private:
     std::uint32_t aggressors_;
+    std::uint32_t idx_ = 0;  //!< Next aggressor.
 };
 
 /** One ACT per row over a rotating distinct-row set. */
@@ -109,11 +125,12 @@ class RfmOptimalAttack : public TargetedAttack
     RfmOptimalAttack(const AttackTarget &target,
                      std::uint32_t distinct_rows);
 
-    std::optional<TraceRecord> next() override;
+    void fillRows(RowId *rows, std::size_t n) override;
     std::string name() const override { return "rfm-optimal"; }
 
   private:
     std::uint32_t distinctRows_;
+    std::uint32_t idx_ = 0;  //!< Next row of the rotation.
 };
 
 /** Figure 2 concentration attack against buffered-RFM schemes. */
@@ -128,7 +145,7 @@ class ConcentrationAttack : public TargetedAttack
     ConcentrationAttack(const AttackTarget &target,
                         std::uint32_t threshold, std::uint32_t rows);
 
-    std::optional<TraceRecord> next() override;
+    void fillRows(RowId *rows, std::size_t n) override;
     std::string name() const override { return "concentration"; }
 
     /** Victim of the final hammered pair. */
@@ -138,6 +155,8 @@ class ConcentrationAttack : public TargetedAttack
     std::uint32_t threshold_;
     std::uint32_t rows_;
     std::uint64_t phase1Records_;
+    std::uint64_t produced_ = 0;  //!< Rows emitted so far.
+    std::uint32_t idx_ = 0;       //!< Next phase-1 row.
 };
 
 /**
@@ -178,12 +197,14 @@ class CbfPollutionAttack : public TargetedAttack
     CbfPollutionAttack(const AttackTarget &target, std::uint32_t rows,
                        std::uint32_t bursts = 8);
 
-    std::optional<TraceRecord> next() override;
+    void fillRows(RowId *rows, std::size_t n) override;
     std::string name() const override { return "cbf-pollution"; }
 
   private:
     std::uint32_t rows_;
     std::uint32_t bursts_;
+    std::uint32_t pair_ = 0;     //!< Row pair of the current burst.
+    std::uint32_t inBurst_ = 0;  //!< Rows emitted in this burst.
 };
 
 } // namespace mithril::workload

@@ -472,6 +472,87 @@ TEST(AttackSlice, SlicingLeavesTheProbeUndisturbed)
     EXPECT_EQ(drain(*probe, 50000), drain(*fresh, 50000));
 }
 
+/** Forwards a generator record by record, declaration included, so
+ *  the source drains it on the per-record decode path. */
+class PerRecordAttack : public workload::TraceGenerator
+{
+  public:
+    explicit PerRecordAttack(
+        std::unique_ptr<workload::TraceGenerator> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    std::optional<workload::TraceRecord> next() override
+    {
+        return inner_->next();
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+    std::optional<workload::BankCoord> targetBank() const override
+    {
+        return inner_->targetBank();
+    }
+
+  private:
+    std::unique_ptr<workload::TraceGenerator> inner_;
+};
+
+/** The attack source's stream of `attack` on `banks` banks; with
+ *  `per_record`, every generator hides behind a PerRecordAttack. */
+std::unique_ptr<engine::ActSource>
+makeAttackLanes(const std::string &attack, std::uint32_t banks,
+                bool per_record)
+{
+    return std::make_unique<engine::MultiBankSource>(
+        attack, dram::paperGeometry(), banks,
+        [attack, per_record](std::uint32_t b, const mc::AddressMap &map)
+            -> std::unique_ptr<workload::TraceGenerator> {
+            ParamSet params;
+            params.set("attack-bank", std::to_string(b));
+            auto gen = registry::makeAttack(
+                attack, params,
+                {map, kFlipTh, /*benignCores=*/0, /*seed=*/7, {}});
+            if (per_record)
+                return std::make_unique<PerRecordAttack>(std::move(gen));
+            return gen;
+        });
+}
+
+TEST(AttackSlice, RowHookLanesEqualPerRecordLanes)
+{
+    // The row-hook lanes (buffered fillRows, no decode) must deliver
+    // the stream the per-record path decodes, whole and sliced,
+    // including budgets that end lanes mid-buffer.
+    const std::vector<std::pair<BankId, BankId>> ranges = {
+        {0, 64}, {3, 5}, {16, 32}};
+    for (const std::string &attack :
+         registry::attackRegistry().names()) {
+        if (attack == "none")
+            continue;
+        for (std::uint32_t banks : {1u, 7u, 32u}) {
+            const std::string where =
+                attack + " source-banks=" + std::to_string(banks);
+            auto fast = makeAttackLanes(attack, banks, false);
+            auto slow = makeAttackLanes(attack, banks, true);
+            EXPECT_EQ(drain(*fast, 50001), drain(*slow, 50001))
+                << where;
+            for (std::uint64_t budget : {1u, 7u, 300u, 120001u}) {
+                for (const auto &[lo, hi] : ranges) {
+                    auto fast_slice = fast->shardSlice(lo, hi, budget);
+                    auto slow_slice = slow->shardSlice(lo, hi, budget);
+                    ASSERT_NE(fast_slice, nullptr) << where;
+                    ASSERT_NE(slow_slice, nullptr) << where;
+                    EXPECT_EQ(drain(*fast_slice), drain(*slow_slice))
+                        << where << " budget=" << budget << " [" << lo
+                        << "," << hi << ")";
+                }
+            }
+        }
+    }
+}
+
 /** Hammers like a built-in attack but declares no bank — the shape
  *  of an out-of-tree generator that opts out of native slicing. */
 class UndeclaredAttack : public workload::TraceGenerator
@@ -526,18 +607,20 @@ TEST(AttackSlice, UndeclaredGeneratorsFallBackToFiltering)
 }
 
 /** Declares its target bank, then breaks the promise that goes with
- *  it: aims one bank off, or ends after a few records. */
-class DishonestAttack : public workload::DoubleSidedAttack
+ *  it: aims one bank off, or ends after a few records. It wraps a
+ *  built-in attack rather than deriving from one, so its lanes take
+ *  the per-record path, which checks every record. */
+class DishonestAttack : public workload::TraceGenerator
 {
   public:
     DishonestAttack(const workload::AttackTarget &target, bool ends)
-        : DoubleSidedAttack(target), ends_(ends)
+        : inner_(target), ends_(ends)
     {
     }
 
     std::optional<workload::BankCoord> targetBank() const override
     {
-        auto at = DoubleSidedAttack::targetBank();
+        auto at = inner_.targetBank();
         if (!ends_)
             at->bank += 1;
         return at;
@@ -547,11 +630,16 @@ class DishonestAttack : public workload::DoubleSidedAttack
     {
         if (ends_ && produced_ >= 10)
             return std::nullopt;
-        return DoubleSidedAttack::next();
+        ++produced_;
+        return inner_.next();
     }
 
+    std::string name() const override { return "dishonest"; }
+
   private:
+    workload::DoubleSidedAttack inner_;
     bool ends_;
+    std::uint64_t produced_ = 0;
 };
 
 TEST(AttackSlice, BrokenDeclarationsAreCaught)

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "mc/address_map.hh"
 #include "registry/workload_registry.hh"
@@ -363,6 +367,142 @@ TEST_F(AttackTest, CbfPollutionAlternatesWithinBurst)
     auto a = gen.next();
     auto b = gen.next();
     EXPECT_NE(decode(a->addr).row, decode(b->addr).row);
+}
+
+/** One built-in attack and the closed form of its record k's row,
+ *  written the way the patterns are defined (per-record division,
+ *  no state) so it checks the incremental row hooks. */
+struct RowStreamCase
+{
+    std::string label;
+    std::function<std::unique_ptr<TargetedAttack>(const AttackTarget &)>
+        make;
+    std::function<RowId(RowId base, std::uint64_t k)> row;
+};
+
+std::vector<RowStreamCase>
+rowStreamCases()
+{
+    auto rotation = [](std::uint32_t count) {
+        return [count](RowId base, std::uint64_t k) {
+            return static_cast<RowId>(base + 2 * (k % count));
+        };
+    };
+    auto concentration = [](std::uint32_t threshold, std::uint32_t rows) {
+        return RowStreamCase{
+            "concentration T=" + std::to_string(threshold) +
+                " Q=" + std::to_string(rows),
+            [=](const AttackTarget &t) {
+                return std::make_unique<ConcentrationAttack>(
+                    t, threshold, rows);
+            },
+            [=](RowId base, std::uint64_t k) {
+                if (k < std::uint64_t{threshold} * rows)
+                    return static_cast<RowId>(base + 2 * (k % rows));
+                return static_cast<RowId>(base + 2 * (rows - 1) -
+                                          (k % 2 == 0 ? 2 : 0));
+            }};
+    };
+    auto pollution = [](std::uint32_t rows, std::uint32_t bursts) {
+        return RowStreamCase{
+            "cbf-pollution rows=" + std::to_string(rows) +
+                " bursts=" + std::to_string(bursts),
+            [=](const AttackTarget &t) {
+                return std::make_unique<CbfPollutionAttack>(t, rows,
+                                                            bursts);
+            },
+            [=](RowId base, std::uint64_t k) {
+                const std::uint64_t pair =
+                    (k / (2 * bursts)) % (rows / 2);
+                return static_cast<RowId>(base +
+                                          2 * (2 * pair + k % 2));
+            }};
+    };
+    return {
+        {"double-sided",
+         [](const AttackTarget &t) {
+             return std::make_unique<DoubleSidedAttack>(t);
+         },
+         rotation(2)},
+        {"multi-sided victims=1",
+         [](const AttackTarget &t) {
+             return std::make_unique<MultiSidedAttack>(t, 1);
+         },
+         rotation(2)},
+        {"multi-sided victims=32",
+         [](const AttackTarget &t) {
+             return std::make_unique<MultiSidedAttack>(t, 32);
+         },
+         rotation(33)},
+        {"rfm-optimal distinct=1",
+         [](const AttackTarget &t) {
+             return std::make_unique<RfmOptimalAttack>(t, 1);
+         },
+         rotation(1)},
+        {"rfm-optimal distinct=7",
+         [](const AttackTarget &t) {
+             return std::make_unique<RfmOptimalAttack>(t, 7);
+         },
+         rotation(7)},
+        // Phase 1 ends after an odd and after an even record count.
+        concentration(5, 3),
+        concentration(4, 4),
+        concentration(300, 2),
+        pollution(6, 1),
+        pollution(7, 1),
+        pollution(64, 8),
+    };
+}
+
+TEST_F(AttackTest, RowHookMatchesDecodedRecords)
+{
+    // Each attack's fillRows() stream must equal decode(next().addr)
+    // record by record, with the two interleaved on one generator
+    // in odd-sized fills, at several banks and base rows.
+    constexpr std::uint64_t kRecords = 3000;
+    const std::size_t fills[] = {1, 2, 3, 7, 255, 256, 257, 1000};
+    for (const RowStreamCase &c : rowStreamCases()) {
+        for (const auto &[channel, bank, base] :
+             {std::tuple<std::uint32_t, std::uint32_t, RowId>{0, 0, 0},
+              {1, 9, 5000},
+              {0, 31, 0x3000},
+              {1, 17, 65000}}) {
+            AttackTarget t = target();
+            t.channel = channel;
+            t.bank = bank;
+            t.baseRow = base;
+            const BankId flat = map_.flatBank(channel, 0, bank);
+            const std::string where = c.label + " bank " +
+                                      std::to_string(flat) + " base " +
+                                      std::to_string(base);
+
+            auto by_record = c.make(t);
+            for (std::uint64_t k = 0; k < kRecords; ++k) {
+                const auto rec = by_record->next();
+                ASSERT_TRUE(rec.has_value()) << where;
+                EXPECT_TRUE(rec->uncached);
+                EXPECT_EQ(rec->gap, 1u);
+                const mc::Request req = decode(rec->addr);
+                ASSERT_EQ(req.bank, flat) << where << " record " << k;
+                ASSERT_EQ(req.row, c.row(base, k))
+                    << where << " record " << k;
+            }
+
+            auto mixed = c.make(t);
+            std::vector<RowId> rows;
+            for (std::size_t f = 0; rows.size() < kRecords; ++f) {
+                const std::size_t n = fills[f % std::size(fills)];
+                const std::size_t at = rows.size();
+                rows.resize(at + n);
+                mixed->fillRows(rows.data() + at, n);
+                rows.push_back(decode(mixed->next()->addr).row);
+            }
+            for (std::uint64_t k = 0; k < kRecords; ++k) {
+                ASSERT_EQ(rows[k], c.row(base, k))
+                    << where << " mixed record " << k;
+            }
+        }
+    }
 }
 
 TEST(WorkloadSuite, BuildsEveryThread)
