@@ -7,6 +7,7 @@
 #include "mc/request.hh"
 #include "registry/attack_registry.hh"
 #include "registry/source_registry.hh"
+#include "workload/attacks.hh"
 #include "workload/trace_file.hh"
 
 namespace mithril::engine

@@ -24,8 +24,12 @@
 
 #include "engine/act_source.hh"
 #include "mc/address_map.hh"
-#include "workload/attacks.hh"
 #include "workload/trace.hh"
+
+namespace mithril::workload
+{
+class TargetedAttack;
+}
 
 namespace mithril::engine
 {
