@@ -44,21 +44,6 @@ RhOracle::probe(std::uint32_t key) const
     return i;
 }
 
-RhOracle::Slot &
-RhOracle::findOrInsert(std::uint32_t key)
-{
-    std::uint32_t i = probe(key);
-    if (slots_[i].key == kEmptyKey) {
-        if (resident_ == growAt_) {
-            rehash(static_cast<std::uint32_t>(2 * slots_.size()));
-            i = probe(key);
-        }
-        ++resident_;
-        slots_[i] = Slot{key, 0};
-    }
-    return slots_[i];
-}
-
 void
 RhOracle::refresh(std::uint32_t key)
 {
@@ -96,55 +81,115 @@ RhOracle::rehash(std::uint32_t capacity)
     }
 }
 
-void
-RhOracle::disturb(BankId bank, RowId row, std::uint32_t weight_q)
+std::uint32_t
+RhOracle::insert(std::uint32_t key, std::uint32_t i)
 {
-    Slot &slot = findOrInsert(bank * rowsPerBank_ + row);
-    const std::uint32_t before = slot.count & kCountMask;
-    const std::uint32_t count = before + weight_q;
-    // Auto-refresh bounds a row at ~2.8M quarter units per tREFW;
-    // only a run with refresh disabled could approach 2^31.
-    MITHRIL_ASSERT(count <= kCountMask);
-    slot.count += weight_q;
-    maxDisturbanceQ_ = std::max<std::uint64_t>(maxDisturbanceQ_, count);
-    if (before < thresholdQ_ && count >= thresholdQ_) {
+    if (resident_ == growAt_) {
+        rehash(static_cast<std::uint32_t>(2 * slots_.size()));
+        i = probe(key);
+    }
+    ++resident_;
+    slots_[i] = Slot{key, 0};
+    return i;
+}
+
+void
+RhOracle::cross(Slot &slot, BankId bank, RowId row, std::uint32_t before,
+                std::uint32_t count, Tick now)
+{
+    if (count >= thresholdQ_) {
         ++bitFlips_;
         if (!(slot.count & kFlippedBit)) {
             slot.count |= kFlippedBit;
             ++flippedRows_;
         }
         if (recorder_) {
-            recorder_->record(telemetry::EventKind::OracleFlip, now_, bank,
+            recorder_->record(telemetry::EventKind::OracleFlip, now, bank,
                               row, static_cast<std::uint32_t>(flippedRows_));
         }
-    } else if (recorder_ && count < thresholdQ_) {
-        // Near-miss line: within 1/8 of FlipTH. Emit once, on the
-        // crossing (pure observation; no oracle state changes).
-        const std::uint64_t near_q = thresholdQ_ - thresholdQ_ / 8;
-        if (count >= near_q && before < near_q) {
-            recorder_->record(
-                telemetry::EventKind::NearMiss, now_, bank, row,
-                static_cast<std::uint32_t>(thresholdQ_ - count));
-        }
+        return;
+    }
+    // Near-miss line: within 1/8 of FlipTH. Emit once, on the
+    // crossing (pure observation; no oracle state changes).
+    const std::uint64_t near_q = thresholdQ_ - thresholdQ_ / 8;
+    if (recorder_ && before < near_q) {
+        recorder_->record(telemetry::EventKind::NearMiss, now, bank, row,
+                          static_cast<std::uint32_t>(thresholdQ_ - count));
     }
 }
 
 void
-RhOracle::onActivate(BankId bank, RowId row)
+RhOracle::onActivateRun(BankId bank, const RowId *rows, std::size_t n,
+                        Tick tick0, Tick stride)
 {
     MITHRIL_ASSERT(bank < banks_);
-    MITHRIL_ASSERT(row < rowsPerBank_);
-    // Distance-1 neighbours take a full hit; distance-2 a quarter hit
-    // (half-double style coupling); distance-3 a sixteenth, rounded to
-    // zero in quarter units, so radius 3 reuses the quarter weight to
-    // stay conservative.
-    for (std::uint32_t d = 1; d <= blastRadius_; ++d) {
-        const std::uint32_t weight_q = (d == 1) ? 4 : 1;
-        if (row >= d)
-            disturb(bank, row - d, weight_q);
-        if (row + d < rowsPerBank_)
-            disturb(bank, row + d, weight_q);
+    // Everything the loop reads lives in a local: a store through a
+    // Slot may alias any 32-bit member, so member reads would be
+    // reloaded after every disturbance.
+    const std::uint32_t rows_per_bank = rowsPerBank_;
+    const std::uint32_t base = bank * rows_per_bank;
+    const std::uint32_t radius = blastRadius_;
+    const std::uint64_t threshold_q = thresholdQ_;
+    // The lowest count that can emit: the near-miss line while
+    // tracing, else FlipTH. cross() sorts out which line was crossed.
+    const std::uint64_t watch_q =
+        recorder_ ? threshold_q - threshold_q / 8 : threshold_q;
+    Slot *slots = slots_.data();
+    std::uint32_t mask = mask_;
+    std::uint32_t shift = shift_;
+    std::uint64_t max_q = maxDisturbanceQ_;
+    // The last slot touched. Inserts never move a resident row, so
+    // it stays valid until a growth rehash, which re-keys it below.
+    std::uint32_t memo_key = kEmptyKey;
+    std::uint32_t memo_slot = 0;
+
+    auto disturb = [&](RowId row, std::uint32_t weight_q, Tick now) {
+        const std::uint32_t key = base + row;
+        std::uint32_t i = memo_slot;
+        if (key != memo_key) {
+            i = home(key, shift);
+            while (slots[i].key != key && slots[i].key != kEmptyKey)
+                i = (i + 1) & mask;
+            if (slots[i].key == kEmptyKey) {
+                i = insert(key, i);
+                slots = slots_.data();
+                mask = mask_;
+                shift = shift_;
+            }
+            memo_key = key;
+            memo_slot = i;
+        }
+        Slot &slot = slots[i];
+        const std::uint32_t before = slot.count & kCountMask;
+        const std::uint32_t count = before + weight_q;
+        // Auto-refresh bounds a row at ~2.8M quarter units per tREFW;
+        // only a run with refresh disabled could approach 2^31.
+        MITHRIL_ASSERT(count <= kCountMask);
+        slot.count += weight_q;
+        max_q = std::max<std::uint64_t>(max_q, count);
+        if (count >= watch_q && before < threshold_q)
+            cross(slot, bank, row, before, count, now);
+    };
+
+    std::size_t i = 0;
+    for (; i < n; ++i) {
+        const RowId row = rows[i];
+        MITHRIL_ASSERT(row < rows_per_bank);
+        const Tick now = tick0 + static_cast<Tick>(i) * stride;
+        // Distance-1 neighbours take a full hit; distance-2 a quarter
+        // hit (half-double style coupling); distance-3 a sixteenth,
+        // rounded to zero in quarter units, so radius 3 reuses the
+        // quarter weight to stay conservative.
+        for (std::uint32_t d = 1; d <= radius; ++d) {
+            const std::uint32_t weight_q = (d == 1) ? 4 : 1;
+            if (row >= d)
+                disturb(row - d, weight_q, now);
+            if (row + d < rows_per_bank)
+                disturb(row + d, weight_q, now);
+        }
     }
+    maxDisturbanceQ_ = max_q;
+    activations_ += i;
 }
 
 void

@@ -46,8 +46,35 @@ class RhOracle
     RhOracle(std::uint32_t banks, std::uint32_t rows_per_bank,
              std::uint32_t flip_th, std::uint32_t blast_radius = 1);
 
-    /** Record one activation of the given row. */
-    void onActivate(BankId bank, RowId row);
+    /**
+     * Record one activation of the given row; flip and near-miss
+     * events are stamped with the tick last given to setNow(). The
+     * one-row case of onActivateRun().
+     */
+    void onActivate(BankId bank, RowId row)
+    {
+        onActivateRun(bank, &row, 1, now_, 0);
+    }
+
+    /**
+     * Record `n` activations of one bank, `rows[0..n)` in stream
+     * order; activation i's flip and near-miss events are stamped
+     * `tick0 + i * stride`.
+     *
+     * Exact by construction: it applies the same disturbances in the
+     * same order as `n` onActivate() calls, so every count, flip,
+     * high-water mark and event equals theirs. The run form only
+     * keeps the table geometry, bank offset, threshold and high-water
+     * mark in locals across the run, and remembers the last slot it
+     * touched: under double- and multi-sided hammering activation
+     * k's upper victim is activation k+1's lower victim. That memo
+     * stays valid within a call because a run only inserts rows
+     * (linear probing never moves a resident row on insert), and a
+     * growth rehash re-keys it. Allocates nothing unless the table
+     * grows.
+     */
+    void onActivateRun(BankId bank, const RowId *rows, std::size_t n,
+                       Tick tick0, Tick stride);
 
     /** Record a refresh of exactly this row (resets its disturbance). */
     void onRowRefresh(BankId bank, RowId row);
@@ -82,6 +109,10 @@ class RhOracle
 
     /** Number of distinct rows that have ever flipped. */
     std::uint64_t flippedRows() const { return flippedRows_; }
+
+    /** Activations applied so far: the conservation count a frontend
+     *  checks against its own ACT count. */
+    std::uint64_t activations() const { return activations_; }
 
     /** Configured FlipTH. */
     std::uint32_t flipTh() const { return flipTh_; }
@@ -126,18 +157,27 @@ class RhOracle
 
     /** Fibonacci hash: the top bits of key * 2^64/phi, so every key
      *  bit (bank bits included) reaches the slot index. */
-    std::uint32_t home(std::uint32_t key) const
+    static std::uint32_t home(std::uint32_t key, std::uint32_t shift)
     {
         return static_cast<std::uint32_t>(
-            (key * 0x9e3779b97f4a7c15ull) >> shift_);
+            (key * 0x9e3779b97f4a7c15ull) >> shift);
     }
+    std::uint32_t home(std::uint32_t key) const { return home(key, shift_); }
 
-    void disturb(BankId bank, RowId row, std::uint32_t weight_q);
     /** Slot holding the key, or the empty slot ending its probe
      *  chain when the key is absent. */
     std::uint32_t probe(std::uint32_t key) const;
-    /** The row's slot, inserted with count 0 if absent. */
-    Slot &findOrInsert(std::uint32_t key);
+    /** Insert the absent key at `i`, the empty slot ending its probe
+     *  chain, growing the table first when it is full; returns the
+     *  row's slot. */
+    [[gnu::noinline]] std::uint32_t insert(std::uint32_t key,
+                                           std::uint32_t i);
+    /** A disturbance took the row's count from `before` (under
+     *  FlipTH) to `count`, at or past the lowest line that emits:
+     *  count a flip, or record a near miss while tracing. */
+    [[gnu::cold]] void cross(Slot &slot, BankId bank, RowId row,
+                             std::uint32_t before, std::uint32_t count,
+                             Tick now);
     /** Zero the row's count; free its slot unless it has flipped. */
     void refresh(std::uint32_t key);
     /** Move every resident row into a fresh table of `capacity`
@@ -167,6 +207,7 @@ class RhOracle
     std::uint64_t maxDisturbanceQ_ = 0;
     std::uint64_t bitFlips_ = 0;
     std::uint64_t flippedRows_ = 0;
+    std::uint64_t activations_ = 0;
 
     telemetry::EventRecorder *recorder_ = nullptr;
     Tick now_ = 0;

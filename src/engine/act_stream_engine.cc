@@ -114,11 +114,8 @@ ActStreamEngine::activate(BankId bank, RowId row)
 
     if (heatmap_)
         heatmap_->touch(bank, row);
-    if (config_.enableOracle) {
-        if (events_)
-            oracle_.setNow(bs.now);
-        oracle_.onActivate(bank, row);
-    }
+    if (config_.enableOracle)
+        oracle_.onActivateRun(bank, &row, 1, bs.now, 0);
     ++bs.acts;
     ++acts_;
     scratch_.reset();
@@ -164,20 +161,8 @@ ActStreamEngine::processRun(BankState &bs, BankId bank,
             for (std::size_t i = 0; i < consumed; ++i)
                 heatmap_->touch(bank, rows[i]);
         }
-        if (config_.enableOracle) {
-            if (events_) {
-                // Tracing variant: stamp the oracle's event clock
-                // with each record's exact tick.
-                for (std::size_t i = 0; i < consumed; ++i) {
-                    oracle_.setNow(span.tick0 +
-                                   static_cast<Tick>(i) * t_rc);
-                    oracle_.onActivate(bank, rows[i]);
-                }
-            } else {
-                for (std::size_t i = 0; i < consumed; ++i)
-                    oracle_.onActivate(bank, rows[i]);
-            }
-        }
+        if (config_.enableOracle)
+            oracle_.onActivateRun(bank, rows, consumed, span.tick0, t_rc);
         bs.acts += consumed;
         acts_ += consumed;
         bs.now += static_cast<Tick>(consumed) * t_rc;

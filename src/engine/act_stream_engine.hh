@@ -27,6 +27,11 @@
  *    run. ARR triggers terminate a run (preventive refreshes advance
  *    the bank clock), which keeps both modes byte-identical at any
  *    batch size — pinned by the engine equivalence golden test.
+ *    The oracle takes the rows the tracker consumed in one
+ *    RhOracle::onActivateRun() call with the same ticks. That is
+ *    exact: no REF, RFM or ARR falls inside the run, so n per-ACT
+ *    oracle calls would see the same disturbances in the same order
+ *    with nothing in between.
  *
  * Every buffer (batch, partition scratch, ARR scratch) is reused
  * across the run, so the steady-state loop performs zero heap
@@ -205,7 +210,8 @@ class ActStreamEngine
         return config_.enableOracle ? &oracle_ : nullptr;
     }
 
-    /** Batched-dispatch processing of one bank's contiguous rows. */
+    /** Batched-dispatch processing of one bank's contiguous rows:
+     *  per cut run, one tracker call and one oracle call. */
     void processRun(BankState &bs, BankId bank, const RowId *rows,
                     std::size_t n);
 

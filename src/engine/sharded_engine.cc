@@ -296,6 +296,15 @@ ShardedActStreamEngine::flippedRows() const
 }
 
 std::uint64_t
+ShardedActStreamEngine::oracleActivations() const
+{
+    std::uint64_t sum = 0;
+    for (const Shard &s : shards_)
+        sum += s.engine->oracle().activations();
+    return sum;
+}
+
+std::uint64_t
 ShardedActStreamEngine::logicOps() const
 {
     std::uint64_t sum = 0;

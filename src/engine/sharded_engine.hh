@@ -191,6 +191,8 @@ class ShardedActStreamEngine
     double maxDisturbanceEver() const;
     std::uint64_t bitFlips() const;
     std::uint64_t flippedRows() const;
+    /** Activations the shard oracles applied (summed). */
+    std::uint64_t oracleActivations() const;
 
     /** Total tracker logic operations across all shards. */
     std::uint64_t logicOps() const;

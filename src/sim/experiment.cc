@@ -36,6 +36,20 @@ sameFile(const std::string &a, const std::string &b)
     return sa.st_dev == sb.st_dev && sa.st_ino == sb.st_ino;
 }
 
+/** Conservation: the ground-truth oracle applied exactly the ACTs
+ *  the frontend committed, so no safety verdict rests on a dropped
+ *  activation. Checked once per run, in every build type. */
+void
+checkOracleConserved(const char *frontend, std::uint64_t oracle_acts,
+                     std::uint64_t acts)
+{
+    MITHRIL_ASSERT_MSG(oracle_acts == acts,
+                       "%s: the oracle applied %llu of %llu activations",
+                       frontend,
+                       static_cast<unsigned long long>(oracle_acts),
+                       static_cast<unsigned long long>(acts));
+}
+
 /**
  * The engine-only experiment body: scheme x source at maximum ACT
  * rate on the sharded ActStream engine — no cores, no MC queues.
@@ -171,6 +185,7 @@ runEngineExperiment(const ExperimentSpec &spec)
     }
 
     eng.run(make_stream, spec.engineActs);
+    checkOracleConserved("engine", eng.oracleActivations(), eng.acts());
 
     RunMetrics m;
     m.acts = eng.acts();
@@ -349,6 +364,8 @@ runExperiment(const ExperimentSpec &spec)
     m.simTicks = system.now();
 
     const mc::ControllerStats stats = system.stats();
+    checkOracleConserved("system", system.oracleActivations(),
+                         stats.activates);
     m.acts = stats.activates;
     m.reads = stats.reads;
     m.writes = stats.writes;

@@ -102,7 +102,7 @@ knobs()
              "RFM threshold (0 = scheme default)"),
         knob("ad", &S::adTh, 0, 1e6, kSweep,
              "Mithril adaptive refresh threshold"),
-        knob("blast-radius", &S::blastRadius, 1, 4, kSweep,
+        knob("blast-radius", &S::blastRadius, 1, 3, kSweep,
              "non-adjacent RH radius"),
         knob("scheme-seed", &S::schemeSeed, 0, kAnyU64, 0,
              "scheme-internal RNG seed"),

@@ -357,6 +357,15 @@ System::flippedRows() const
     return sum;
 }
 
+std::uint64_t
+System::oracleActivations() const
+{
+    std::uint64_t sum = 0;
+    for (const auto &lane : lanes_)
+        sum += lane->device->oracle().activations();
+    return sum;
+}
+
 double
 System::maxDisturbanceEver() const
 {

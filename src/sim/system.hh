@@ -129,6 +129,7 @@ class System
     std::uint64_t bitFlips() const;
     std::uint64_t flippedRows() const;
     double maxDisturbanceEver() const;
+    std::uint64_t oracleActivations() const;
 
     /** Device mitigation counters summed across channels. */
     std::uint64_t preventiveCount() const;

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -313,6 +314,7 @@ class ReferenceOracle
 
     void activate(BankId bank, RowId row, Tick now)
     {
+        ++activations_;
         for (std::uint32_t d = 1; d <= radius_; ++d) {
             const std::uint32_t weight_q = (d == 1) ? 4 : 1;
             if (row >= d)
@@ -322,7 +324,11 @@ class ReferenceOracle
         }
     }
 
-    void refreshRow(BankId bank, RowId row) { counts_.erase({bank, row}); }
+    void refreshRow(BankId bank, RowId row)
+    {
+        if (counts_.erase({bank, row}) && flipped_.count({bank, row}))
+            ++idleFlipped_;
+    }
 
     void refreshNeighbors(BankId bank, RowId aggressor)
     {
@@ -351,18 +357,14 @@ class ReferenceOracle
 
     /** Rows the oracle must keep: disturbed and unrefreshed, or ever
      *  flipped. */
-    std::size_t resident() const
-    {
-        std::size_t n = counts_.size();
-        for (const Row &r : flipped_)
-            n += counts_.count(r) == 0 ? 1 : 0;
-        return n;
-    }
+    std::size_t resident() const { return counts_.size() + idleFlipped_; }
 
     const std::map<Row, std::uint64_t> &counts() const { return counts_; }
     double maxDisturbanceEver() const { return maxQ_ / 4.0; }
     std::uint64_t bitFlips() const { return bitFlips_; }
     std::uint64_t flippedRows() const { return flipped_.size(); }
+    std::uint64_t activations() const { return activations_; }
+    std::uint64_t nearMisses() const { return nearMisses_; }
     const std::vector<telemetry::TraceEvent> &events(BankId bank) const
     {
         return events_[bank];
@@ -371,7 +373,10 @@ class ReferenceOracle
   private:
     void disturb(BankId bank, RowId row, std::uint32_t weight_q, Tick now)
     {
-        std::uint64_t &count = counts_[{bank, row}];
+        const auto [it, inserted] = counts_.try_emplace({bank, row}, 0);
+        if (inserted && flipped_.count({bank, row}))
+            --idleFlipped_;
+        std::uint64_t &count = it->second;
         const std::uint64_t before = count;
         count += weight_q;
         maxQ_ = std::max(maxQ_, count);
@@ -388,6 +393,7 @@ class ReferenceOracle
             events_[bank].push_back(ev);
         } else if (count < thresholdQ_ && count >= near_q &&
                    before < near_q) {
+            ++nearMisses_;
             ev.kind = telemetry::EventKind::NearMiss;
             ev.arg = static_cast<std::uint32_t>(thresholdQ_ - count);
             events_[bank].push_back(ev);
@@ -399,9 +405,13 @@ class ReferenceOracle
     std::uint64_t thresholdQ_;
     std::map<Row, std::uint64_t> counts_;
     std::set<Row> flipped_;
+    /** Flipped rows with no count (refreshed since): still resident. */
+    std::size_t idleFlipped_ = 0;
     std::vector<RowId> refreshPtr_;
     std::uint64_t maxQ_ = 0;
     std::uint64_t bitFlips_ = 0;
+    std::uint64_t activations_ = 0;
+    std::uint64_t nearMisses_ = 0;
     std::vector<std::vector<telemetry::TraceEvent>> events_;
 };
 
@@ -444,47 +454,86 @@ modelRows(const ReferenceOracle &ref, std::uint32_t rows)
     return out;
 }
 
-class OracleProperty : public ::testing::TestWithParam<std::uint32_t>
+/** Blast radius x whether an event recorder is attached. */
+class OracleProperty
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool>>
 {
 };
 
 /**
- * Random activate / row refresh / neighbour refresh / auto-refresh
- * streams through the oracle and the model. Rows are drawn from the
- * bank edges, from a few row indices shared by every bank (keys that
- * differ only in their bank bits), and uniformly; a fill phase grows
- * the table several times and a drain phase erases most of it.
+ * Random activate / activation run / row refresh / neighbour refresh
+ * / auto-refresh streams through the oracle and the model. Rows are
+ * drawn from the bank edges, from a few row indices shared by every
+ * bank (keys that differ only in their bank bits), and uniformly; a
+ * fill phase grows the table several times and a drain phase erases
+ * most of it. Half the activations arrive one at a time through
+ * onActivate(), half as runs of 1..64 through onActivateRun(): rows
+ * drawn one by one, or double- and multi-sided hammering, whose
+ * adjacent aggressors share victims (the run kernel's slot memo).
  */
 TEST_P(OracleProperty, MatchesReferenceModel)
 {
     constexpr std::uint32_t kBanks = 32, kRows = 512, kFlipTh = 12;
     constexpr std::uint32_t kGroups = 64, kOps = 24000;
-    const std::uint32_t radius = GetParam();
+    const auto [radius, traced] = GetParam();
     RhOracle oracle(kBanks, kRows, kFlipTh, radius);
     ReferenceOracle ref(kBanks, kRows, kFlipTh, radius);
     telemetry::EventRecorder recorder(kBanks, 1u << 16);
-    oracle.setEventRecorder(&recorder);
+    if (traced)
+        oracle.setEventRecorder(&recorder);
     const std::size_t initial_capacity = oracle.tableCapacity();
     std::size_t peak = 0;
 
     Rng rng(0x5eed0000 + radius);
     const RowId edges[] = {0, 1, 2, kRows - 3, kRows - 2, kRows - 1};
     const RowId shared[] = {7, 100, 101, 300};
+    auto draw_row = [&]() -> RowId {
+        const double pick = rng.nextDouble();
+        return pick < 0.15   ? edges[rng.nextBounded(6)]
+               : pick < 0.45 ? shared[rng.nextBounded(4)]
+                             : static_cast<RowId>(rng.nextBounded(kRows));
+    };
+    using telemetry::EventKind;
+    std::vector<RowId> run;
+    std::uint32_t runs = 0, runs_grown = 0, runs_flipped = 0,
+                  runs_near = 0;
     for (std::uint32_t step = 0; step < kOps; ++step) {
         const BankId bank = static_cast<BankId>(rng.nextBounded(kBanks));
-        const double pick = rng.nextDouble();
-        const RowId row =
-            pick < 0.15   ? edges[rng.nextBounded(6)]
-            : pick < 0.45 ? shared[rng.nextBounded(4)]
-                          : static_cast<RowId>(rng.nextBounded(kRows));
+        const RowId row = draw_row();
         // Fill phase: mostly activations. Drain phase: mostly refreshes.
         const double act_share = step < kOps / 2 ? 0.85 : 0.3;
         const double op = rng.nextDouble();
-        const Tick now = step;
-        oracle.setNow(now);
-        if (op < act_share) {
+        const Tick now = Tick{step} * 4096;
+        run.assign(1, row);
+        if (op < act_share / 2) {
+            oracle.setNow(now);
             oracle.onActivate(bank, row);
             ref.activate(bank, row, now);
+        } else if (op < act_share) {
+            // Pattern 0: rows drawn one by one; 1: double-sided
+            // (row, row + 2, row, ...); 2: multi-sided (row, row + 2,
+            // row + 4, ...), wrapping at the bank end.
+            const auto length = 1 + rng.nextBounded(64);
+            const auto pattern = rng.nextBounded(3);
+            for (std::uint32_t i = 1; i < length; ++i) {
+                const RowId offset = pattern == 1 ? 2 * (i % 2) : 2 * i;
+                run.push_back(pattern == 0 ? draw_row()
+                                           : (row + offset) % kRows);
+            }
+            const Tick stride = 1 + static_cast<Tick>(rng.nextBounded(50));
+            const std::size_t capacity = oracle.tableCapacity();
+            const std::uint64_t flips = ref.bitFlips();
+            const std::uint64_t near = ref.nearMisses();
+            oracle.onActivateRun(bank, run.data(), run.size(), now,
+                                 stride);
+            for (std::size_t i = 0; i < run.size(); ++i) {
+                ref.activate(bank, run[i],
+                             now + static_cast<Tick>(i) * stride);
+            }
+            ++runs;
+            runs_grown += run.size() > 1 && oracle.tableCapacity() > capacity;
+            runs_flipped += ref.bitFlips() > flips;
+            runs_near += ref.nearMisses() > near;
         } else if (op < act_share + (1 - act_share) / 3) {
             oracle.onRowRefresh(bank, row);
             ref.refreshRow(bank, row);
@@ -497,22 +546,18 @@ TEST_P(OracleProperty, MatchesReferenceModel)
         }
 
         std::vector<ReferenceOracle::Row> touched;
-        for (RowId r = row >= 3 ? row - 3 : 0; r < std::min(row + 4, kRows);
-             ++r)
-            touched.emplace_back(bank, r);
+        for (RowId r : run) {
+            for (RowId t = r >= 3 ? r - 3 : 0; t < std::min(r + 4, kRows);
+                 ++t)
+                touched.emplace_back(bank, t);
+        }
         ASSERT_EQ(oracleMismatch(oracle, ref, touched), "")
             << "radius " << radius << " step " << step;
-        using telemetry::EventKind;
-        std::uint64_t flips = 0, near = 0;
-        for (BankId b = 0; b < kBanks; ++b) {
-            for (const auto &ev : ref.events(b)) {
-                flips += ev.kind == EventKind::OracleFlip;
-                near += ev.kind == EventKind::NearMiss;
-            }
-        }
-        ASSERT_EQ(recorder.emittedOfKind(EventKind::OracleFlip), flips)
+        ASSERT_EQ(recorder.emittedOfKind(EventKind::OracleFlip),
+                  traced ? ref.bitFlips() : 0)
             << "step " << step;
-        ASSERT_EQ(recorder.emittedOfKind(EventKind::NearMiss), near)
+        ASSERT_EQ(recorder.emittedOfKind(EventKind::NearMiss),
+                  traced ? ref.nearMisses() : 0)
             << "step " << step;
 
         peak = std::max(peak, ref.resident());
@@ -530,13 +575,28 @@ TEST_P(OracleProperty, MatchesReferenceModel)
     EXPECT_GE(oracle.tableCapacity(), initial_capacity * 8);
     EXPECT_LE(oracle.tableCapacity(), 4 * peak);
     EXPECT_GT(ref.bitFlips(), ref.flippedRows());  // Re-flipped rows.
-    EXPECT_GT(recorder.emittedOfKind(telemetry::EventKind::NearMiss), 0u);
-    for (BankId b = 0; b < kBanks; ++b)
-        EXPECT_EQ(recorder.bankEvents(b), ref.events(b)) << "bank " << b;
+    EXPECT_GT(ref.nearMisses(), 0u);
+    // Runs that grew the table, crossed FlipTH, and crossed the
+    // near-miss line.
+    EXPECT_GT(runs_grown, 0u) << runs << " runs";
+    EXPECT_GT(runs_flipped, 0u) << runs << " runs";
+    EXPECT_GT(runs_near, 0u) << runs << " runs";
+    EXPECT_EQ(oracle.activations(), ref.activations());
+    for (BankId b = 0; b < kBanks; ++b) {
+        if (traced)
+            EXPECT_EQ(recorder.bankEvents(b), ref.events(b)) << "bank " << b;
+        else
+            EXPECT_TRUE(recorder.bankEvents(b).empty()) << "bank " << b;
+    }
 }
 
-INSTANTIATE_TEST_SUITE_P(BlastRadius, OracleProperty,
-                         ::testing::Values(1u, 2u, 3u));
+INSTANTIATE_TEST_SUITE_P(
+    BlastRadius, OracleProperty,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<OracleProperty::ParamType> &info) {
+        return "r" + std::to_string(std::get<0>(info.param)) +
+               (std::get<1>(info.param) ? "_traced" : "_untraced");
+    });
 
 TEST(OracleTable, EraseChainsWrapPastTableEnd)
 {

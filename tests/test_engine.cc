@@ -180,10 +180,12 @@ constexpr std::uint32_t kFlipTh = 3125;
 constexpr std::uint64_t kActs = 150000;
 
 std::unique_ptr<trackers::RhProtection>
-makeTracker(const std::string &scheme, const dram::Geometry &geom)
+makeTracker(const std::string &scheme, const dram::Geometry &geom,
+            std::uint32_t blast_radius = 1)
 {
     registry::SchemeKnobs knobs;
     knobs.flipTh = kFlipTh;
+    knobs.blastRadius = blast_radius;
     return registry::makeScheme(scheme, knobs.toParams(),
                                 {dram::ddr5_4800(), geom});
 }
@@ -223,12 +225,12 @@ operator<<(std::ostream &os, const RunOutcome &o)
 }
 
 RunOutcome
-runReference(const std::string &scheme)
+runReference(const std::string &scheme, std::uint32_t blast_radius)
 {
     dram::Geometry geom = dram::paperGeometry();
     geom.rowsPerBank = kRows;
-    auto tracker = makeTracker(scheme, geom);
-    ReferenceHarness ref(dram::ddr5_4800(), kRows, kFlipTh, 1,
+    auto tracker = makeTracker(scheme, geom, blast_radius);
+    ReferenceHarness ref(dram::ddr5_4800(), kRows, kFlipTh, blast_radius,
                          tracker.get());
     Rng rng(1234);
     ref.run(kActs, [&](std::uint64_t i) { return patternRow(i, rng); });
@@ -245,13 +247,14 @@ runReference(const std::string &scheme)
 
 RunOutcome
 runEngine(const std::string &scheme,
-          engine::EngineConfig::Dispatch dispatch, std::size_t chunk)
+          engine::EngineConfig::Dispatch dispatch, std::size_t chunk,
+          std::uint32_t blast_radius)
 {
     dram::Geometry geom = dram::paperGeometry();
     geom.rowsPerBank = kRows;
-    auto tracker = makeTracker(scheme, geom);
+    auto tracker = makeTracker(scheme, geom, blast_radius);
     engine::EngineConfig cfg = engine::EngineConfig::singleBank(
-        dram::ddr5_4800(), kFlipTh, kRows);
+        dram::ddr5_4800(), kFlipTh, kRows, blast_radius);
     cfg.dispatch = dispatch;
     engine::ActStreamEngine eng(cfg, tracker.get());
     Rng rng(1234);
@@ -270,27 +273,30 @@ runEngine(const std::string &scheme,
             tracker ? tracker->logicOps() : 0};
 }
 
+/** Scheme x blast radius: radius 2 and 3 add the quarter-weight
+ *  neighbours to the oracle and a longer ARR to the bank clock. */
 class EngineEquivalence
-    : public ::testing::TestWithParam<std::string>
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint32_t>>
 {
 };
 
 TEST_P(EngineEquivalence, BatchAndScalarMatchReferenceHarness)
 {
-    const std::string scheme = GetParam();
-    const RunOutcome ref = runReference(scheme);
+    const auto &[scheme, radius] = GetParam();
+    const RunOutcome ref = runReference(scheme, radius);
 
     const RunOutcome scalar = runEngine(
-        scheme, engine::EngineConfig::Dispatch::Scalar, 1024);
+        scheme, engine::EngineConfig::Dispatch::Scalar, 1024, radius);
     EXPECT_TRUE(scalar == ref)
-        << scheme << "\n  scalar: " << scalar << "\n  ref:    " << ref;
+        << scheme << " r" << radius << "\n  scalar: " << scalar
+        << "\n  ref:    " << ref;
 
     for (std::size_t chunk : {1u, 7u, 64u, 1000u, 4096u}) {
         const RunOutcome batched = runEngine(
-            scheme, engine::EngineConfig::Dispatch::Batched, chunk);
+            scheme, engine::EngineConfig::Dispatch::Batched, chunk, radius);
         EXPECT_TRUE(batched == ref)
-            << scheme << " chunk=" << chunk << "\n  batch: " << batched
-            << "\n  ref:   " << ref;
+            << scheme << " r" << radius << " chunk=" << chunk
+            << "\n  batch: " << batched << "\n  ref:   " << ref;
     }
 }
 
@@ -301,18 +307,23 @@ allSchemes()
 }
 
 std::string
-schemeCaseName(const ::testing::TestParamInfo<std::string> &info)
+schemeCaseName(const std::string &scheme)
 {
-    std::string s = info.param;
+    std::string s = scheme;
     for (auto &c : s)
         if (!std::isalnum(static_cast<unsigned char>(c)))
             c = '_';
     return s;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRegisteredSchemes, EngineEquivalence,
-                         ::testing::ValuesIn(allSchemes()),
-                         schemeCaseName);
+INSTANTIATE_TEST_SUITE_P(
+    AllRegisteredSchemes, EngineEquivalence,
+    ::testing::Combine(::testing::ValuesIn(allSchemes()),
+                       ::testing::Values(1u, 2u, 3u)),
+    [](const ::testing::TestParamInfo<EngineEquivalence::ParamType> &info) {
+        return schemeCaseName(std::get<0>(info.param)) + "_r" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 // ----------------------------------------------- multi-bank engine
 
